@@ -400,6 +400,28 @@ fn bench_coded_swarm(c: &mut Criterion) {
     group.finish();
 }
 
+/// The GF(2^8) axpy `dst ^= c · src` at the coded swarm's sizes: a
+/// 16-byte payload, a 64-byte coefficient vector (k = 64) and a 1 KiB
+/// payload. The multiplier is fixed and outside {0, 1}, so every size
+/// runs the general kernel.
+fn bench_gf256_axpy(c: &mut Criterion) {
+    let mut group = c.benchmark_group("gf256_axpy");
+    for &len in &[16usize, 64, 1024] {
+        let src: Vec<u8> = (0..len).map(|i| ((i * 151) ^ 0x5C) as u8).collect();
+        let mut dst = vec![0xA5u8; len];
+        group.bench_with_input(BenchmarkId::from_parameter(len), &len, |b, _| {
+            b.iter(|| {
+                ocd_core::gf256::mul_add_slice(
+                    std::hint::black_box(&mut dst),
+                    std::hint::black_box(0x53),
+                    std::hint::black_box(&src),
+                );
+            });
+        });
+    }
+    group.finish();
+}
+
 fn bench_exact_solvers(c: &mut Criterion) {
     let instance = figure_one();
     let mut group = c.benchmark_group("exact_small");
@@ -444,6 +466,7 @@ criterion_group!(
     bench_engine_mediums,
     bench_net_swarm,
     bench_coded_swarm,
+    bench_gf256_axpy,
     bench_exact_solvers,
     bench_generators
 );

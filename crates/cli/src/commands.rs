@@ -467,6 +467,15 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
             provenance,
             metrics,
         } => {
+            if *tokens == 0 {
+                return Err("tokens must be >= 1, got 0".to_string());
+            }
+            if redundancy.is_nan() || *redundancy < 1.0 {
+                return Err(format!("redundancy must be >= 1, got {redundancy}"));
+            }
+            if !(0.0..1.0).contains(loss) {
+                return Err(format!("loss must be in [0, 1), got {loss}"));
+            }
             let g = load_graph(graph)?;
             if *source >= g.node_count() {
                 return Err(format!(
@@ -484,12 +493,6 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                     ))
                 }
             };
-            if !(0.0..1.0).contains(loss) {
-                return Err(format!("loss must be in [0, 1), got {loss}"));
-            }
-            if *redundancy < 1.0 {
-                return Err(format!("redundancy must be >= 1, got {redundancy}"));
-            }
             let config = CodedSimConfig {
                 max_steps: *max_steps,
                 // Like `ocd run --metrics`: the coded recorder only
@@ -1055,6 +1058,36 @@ mod tests {
         assert!(run(&["coded", "--graph", &topo, "--source", "99"])
             .unwrap_err()
             .contains("out of range"));
+    }
+
+    #[test]
+    fn coded_rejects_empty_generation_and_sub_unit_redundancy() {
+        let topo = tmp("coded_bad_input_topo.txt");
+        run(&[
+            "generate",
+            "--topology",
+            "cycle",
+            "--nodes",
+            "4",
+            "--out",
+            &topo,
+        ])
+        .unwrap();
+        let err = run(&["coded", "--graph", &topo, "--tokens", "0"]).unwrap_err();
+        assert!(err.contains("tokens must be >= 1"), "{err}");
+        for bad in ["0", "-1", "0.5", "NaN"] {
+            let err = run(&["coded", "--graph", &topo, "--redundancy", bad]).unwrap_err();
+            assert!(
+                err.contains("redundancy must be >= 1"),
+                "--redundancy {bad}: {err}"
+            );
+        }
+        let args = ["coded", "--graph", &topo, "--tokens", "0"];
+        assert_eq!(
+            crate::run_cli(args.map(String::from).to_vec()),
+            1,
+            "exit code"
+        );
     }
 
     #[test]
