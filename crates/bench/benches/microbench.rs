@@ -280,10 +280,10 @@ fn bench_engine_mediums(c: &mut Criterion) {
                 )
             },
             |(mut s, mut d, mut run_rng)| {
-                let outcome = ocd_heuristics::simulate_dynamic(
+                let outcome = ocd_heuristics::simulate_with(
                     &instance,
                     &mut s,
-                    &mut d,
+                    &mut ocd_heuristics::Dynamic::new(&mut d),
                     &config,
                     &mut run_rng,
                 );
@@ -297,11 +297,10 @@ fn bench_engine_mediums(c: &mut Criterion) {
         b.iter_batched(
             || (DripFeed::new(), StdRng::seed_from_u64(1)),
             |(mut s, mut run_rng)| {
-                let outcome = ocd_heuristics::simulate_underlay(
+                let outcome = ocd_heuristics::simulate_with(
                     &instance,
                     &mut s,
-                    &topology,
-                    &mapping,
+                    &mut ocd_heuristics::PhysicalUnderlay::new(&topology, &mapping),
                     &config,
                     &mut run_rng,
                 );

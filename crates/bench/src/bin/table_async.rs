@@ -12,9 +12,9 @@
 use ocd_bench::args::ExpArgs;
 use ocd_bench::stats::Summary;
 use ocd_bench::table::Table;
-use ocd_core::validate;
+use ocd_core::{validate, ProvenanceTrace};
 use ocd_graph::generate::paper_random;
-use ocd_net::{run_swarm, FaultPlan, NetConfig, NetPolicy};
+use ocd_net::{run_swarm_observed, FaultPlan, NetConfig, NetPolicy};
 use rand::prelude::*;
 
 /// The most frequent bottleneck arc across runs (ties to the
@@ -77,7 +77,6 @@ fn main() {
                 control_latency: 1.min(latency - 1),
                 control_loss: loss / 2.0,
                 have_refresh: 6,
-                record_provenance: true,
                 ..NetConfig::default()
             };
             let faults = if with_crash {
@@ -97,7 +96,9 @@ fn main() {
             let mut successes = 0u32;
             for r in 0..runs {
                 let mut run_rng = StdRng::seed_from_u64(args.seed ^ ((r as u64) << 7));
-                let report = run_swarm(&instance, &config, &faults, &mut run_rng);
+                let mut prov = ProvenanceTrace::new(instance.num_vertices(), instance.num_tokens());
+                let report =
+                    run_swarm_observed(&instance, &config, &faults, &mut run_rng, &mut prov);
                 // Every extracted schedule is a certified legal sequence.
                 let replay = validate::replay(&instance, &report.schedule)
                     .expect("extracted schedule must validate");
@@ -120,7 +121,6 @@ fn main() {
                         snap.series("net.arc_max_queue_depth")
                             .map_or(0, |s| s.iter().copied().max().unwrap_or(0)),
                     );
-                    let prov = report.provenance.as_ref().expect("record_provenance is on");
                     let analysis = prov.analyze(&instance);
                     crit_len.push(analysis.crit_len() as u64);
                     if let Some(arc) = analysis.crit_arc() {

@@ -11,7 +11,7 @@ use ocd_graph::generate::paper_random;
 use ocd_heuristics::dynamics::{
     AdversarialCuts, Churn, CrossTraffic, LinkOutages, NetworkDynamics, StaticNetwork,
 };
-use ocd_heuristics::{simulate_dynamic, SimConfig, StrategyKind};
+use ocd_heuristics::{simulate_with, Dynamic, SimConfig, StrategyKind};
 use rand::prelude::*;
 
 /// A named factory producing a fresh dynamics model per run.
@@ -104,10 +104,10 @@ fn main() {
                 let mut strategy = kind.build();
                 let mut dynamics = make();
                 let mut run_rng = StdRng::seed_from_u64(args.seed ^ (r as u64) << 7);
-                let outcome = simulate_dynamic(
+                let outcome = simulate_with(
                     &instance,
                     strategy.as_mut(),
-                    dynamics.as_mut(),
+                    &mut Dynamic::new(dynamics.as_mut()),
                     &config,
                     &mut run_rng,
                 );

@@ -19,10 +19,11 @@ use ocd_bench::args::ExpArgs;
 use ocd_bench::stats::Summary;
 use ocd_bench::table::Table;
 use ocd_core::scenario::single_file;
+use ocd_core::MetricsRegistry;
 use ocd_graph::generate::{gnp, transit_stub, GnpConfig, TransitStubConfig};
 use ocd_graph::underlay::Underlay;
 use ocd_graph::NodeId;
-use ocd_heuristics::{simulate, simulate_with, PhysicalUnderlay, SimConfig, StrategyKind};
+use ocd_heuristics::{simulate, simulate_with_observed, PhysicalUnderlay, SimConfig, StrategyKind};
 use rand::prelude::*;
 
 fn main() {
@@ -39,7 +40,6 @@ fn main() {
     ];
     let config = SimConfig {
         max_steps: 50_000,
-        metrics: true,
         ..Default::default()
     };
     // The trailing metrics column group (`util_max`, `util_mean`) is
@@ -92,13 +92,17 @@ fn main() {
             let mut s2 = kind.build();
             let mut rng2 = StdRng::seed_from_u64(args.seed ^ r);
             let mut medium = PhysicalUnderlay::new(&physical, &mapping);
-            let constrained =
-                simulate_with(&instance, s2.as_mut(), &mut medium, &config, &mut rng2).to_record(
-                    &instance,
-                    kind.name(),
-                    "physical-underlay",
-                    args.seed ^ r,
-                );
+            let mut registry = MetricsRegistry::new();
+            let mut constrained = simulate_with_observed(
+                &instance,
+                s2.as_mut(),
+                &mut medium,
+                &config,
+                &mut rng2,
+                &mut registry,
+            )
+            .to_record(&instance, kind.name(), "physical-underlay", args.seed ^ r);
+            constrained.metrics = Some(registry.snapshot());
             assert!(constrained.success, "{kind} failed under admission");
             constrained.certify().expect("underlay record re-validates");
             if r == 0 {

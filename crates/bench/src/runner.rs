@@ -9,7 +9,6 @@
 //! (after the §5.1 post-processing).
 
 use crate::stats::Summary;
-use ocd_core::metrics::MetricsSnapshot;
 use ocd_core::{bounds, prune, Instance, RunRecord};
 use ocd_heuristics::{simulate_with, Ideal, SimConfig, StrategyKind};
 use ocd_solver::steiner;
@@ -32,10 +31,6 @@ pub struct StrategyStats {
     /// Wall-clock milliseconds per run (successful runs only), from the
     /// engine's [`ocd_heuristics::SimReport::wall_nanos`] instrumentation.
     pub wall_ms: Summary,
-    /// Merged metrics rollup over every run of this strategy
-    /// (counters/histograms/series summed across runs, failed runs
-    /// included); `None` unless `SimConfig::metrics` was set.
-    pub metrics: Option<MetricsSnapshot>,
 }
 
 /// Instance-level bounds quoted alongside the heuristics in the figures.
@@ -95,7 +90,6 @@ pub fn evaluate(
         bandwidth: u64,
         pruned: u64,
         wall_ms: f64,
-        metrics: Option<MetricsSnapshot>,
     }
     let run_one = |kind: StrategyKind, seed: u64| -> RunOutcome {
         let record = record_run(instance, kind, config, seed);
@@ -107,7 +101,6 @@ pub fn evaluate(
             bandwidth: record.bandwidth,
             pruned: pruned.bandwidth(),
             wall_ms: record.run_ms(),
-            metrics: record.metrics,
         }
     };
 
@@ -146,18 +139,8 @@ pub fn evaluate(
         .map(|(&kind, cell)| {
             let mut outcomes = cell.into_inner().expect("no poisoned runs");
             // Threads finish in arbitrary order; aggregate in seed order
-            // so the rollup (and its serialized form) is deterministic.
+            // so the summaries are deterministic.
             outcomes.sort_by_key(|o| o.seed);
-            let metrics = outcomes.iter().filter_map(|o| o.metrics.as_ref()).fold(
-                None::<MetricsSnapshot>,
-                |acc, snap| match acc {
-                    None => Some(snap.clone()),
-                    Some(mut rollup) => {
-                        rollup.merge(snap);
-                        Some(rollup)
-                    }
-                },
-            );
             let ok: Vec<&RunOutcome> = outcomes.iter().filter(|o| o.success).collect();
             StrategyStats {
                 kind,
@@ -168,7 +151,6 @@ pub fn evaluate(
                     &ok.iter().map(|o| o.pruned).collect::<Vec<_>>(),
                 ),
                 wall_ms: Summary::of(&ok.iter().map(|o| o.wall_ms).collect::<Vec<_>>()),
-                metrics,
             }
         })
         .collect()
@@ -262,41 +244,6 @@ mod tests {
         // bandwidth from... above is not guaranteed per-run, but it must
         // be at least the lower bound.
         assert!(bounds.steiner_upper.unwrap() >= bounds.bandwidth_lower);
-    }
-
-    #[test]
-    fn evaluate_rolls_up_metrics_when_enabled() {
-        let instance = single_file(classic::cycle(6, 3, true), 8, 0);
-        let seeds = derive_seeds(9, 3);
-        let config = SimConfig {
-            metrics: true,
-            ..Default::default()
-        };
-        let run = || evaluate(&instance, &[StrategyKind::Random], &seeds, &config);
-        let stats = run();
-        let rollup = stats[0].metrics.as_ref().expect("metrics enabled");
-        // The rollup sums the per-run counters: 3 runs' steps.
-        assert_eq!(
-            rollup.counter("engine.steps"),
-            Some((stats[0].moves.mean * 3.0).round() as u64)
-        );
-        assert_eq!(
-            rollup.histogram("engine.step_moves").unwrap().sum,
-            rollup.counter("engine.moves").unwrap()
-        );
-        // Despite the threaded fan-out, the rollup is deterministic.
-        assert_eq!(
-            run()[0].metrics.as_ref().unwrap().to_json(),
-            rollup.to_json()
-        );
-        // And disabled metrics roll up to nothing.
-        let plain = evaluate(
-            &instance,
-            &[StrategyKind::Random],
-            &seeds,
-            &SimConfig::default(),
-        );
-        assert!(plain[0].metrics.is_none());
     }
 
     #[test]

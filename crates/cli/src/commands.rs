@@ -1,18 +1,21 @@
 //! Command execution for the `ocd` tool.
 
 use crate::opts::{Command, USAGE};
-use ocd_core::span::{FlightRecorder, SpanRecorder};
-use ocd_core::{bounds, prune, Instance, ProvenanceTrace, RlncInstance, Schedule};
+use ocd_core::{
+    bounds, prune, FlightRecorder, Instance, MetricsRegistry, MetricsSnapshot, ProvenanceTrace,
+    RlncInstance, Schedule,
+};
 use ocd_graph::generate::{classic, gnp, transit_stub, GnpConfig, TransitStubConfig};
 use ocd_graph::{algo, io as gio, DiGraph};
 use ocd_heuristics::{
-    simulate, simulate_with, CodedLocal, CodedRandom, CodedSimConfig, CodedStrategy, Dynamic,
-    Ideal, LossyCoded, Medium, NodeCapacity, SimConfig, StrategyKind,
+    simulate, simulate_coded_with, simulate_with_observed, CodedLocal, CodedRandom, CodedSimConfig,
+    CodedStrategy, Dynamic, Ideal, IdealCoded, LossyCoded, Medium, NodeCapacity, SimConfig,
+    StrategyKind,
 };
 use ocd_lp::MipOptions;
 use ocd_net::{run_swarm, FaultPlan, NetConfig, NetPolicy};
-use ocd_solver::bnb::{decide_focd, solve_focd_with_spans, BnbOptions};
-use ocd_solver::ip::min_bandwidth_for_horizon_with_spans;
+use ocd_solver::bnb::{decide_focd, solve_focd_observed, BnbOptions};
+use ocd_solver::ip::min_bandwidth_for_horizon_observed;
 use ocd_solver::reduction::{dominating_set_from_schedule, focd_from_dominating_set};
 use ocd_solver::steiner;
 use rand::rngs::StdRng;
@@ -116,16 +119,18 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
             let config = SimConfig {
                 max_steps: *max_steps,
                 knowledge_delay: *delay,
-                // Only the deterministic metric set: `--metrics`
-                // snapshots must be byte-identical across equal-seed
-                // invocations, so wall-clock timings stay off.
-                metrics: metrics.is_some(),
-                // `--record` artifacts embed the causal provenance
-                // digest (RunRecord schema v3), which `certify`
-                // cross-checks against a schedule replay.
-                provenance: record.is_some(),
-                ..SimConfig::default()
             };
+            // The engine records only deterministic metrics, so
+            // `--metrics` snapshots are byte-identical across equal-seed
+            // invocations. `--record` artifacts embed the causal
+            // provenance digest (RunRecord schema v3), which `certify`
+            // cross-checks against a schedule replay.
+            let mut sinks = (
+                metrics.is_some().then(MetricsRegistry::new),
+                record
+                    .is_some()
+                    .then(|| ProvenanceTrace::new(instance.num_vertices(), instance.num_tokens())),
+            );
             let mut rng = StdRng::seed_from_u64(*seed);
             // Instances carrying node budgets run under the
             // node-capacity medium automatically, so their `--record`
@@ -133,47 +138,68 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
             let budgets = instance.node_budgets().cloned();
             let (outcome, medium_name) = match (dynamics, budgets) {
                 (None, None) => {
-                    let outcome =
-                        simulate_with(&instance, s.as_mut(), &mut Ideal, &config, &mut rng);
+                    let outcome = simulate_with_observed(
+                        &instance,
+                        s.as_mut(),
+                        &mut Ideal,
+                        &config,
+                        &mut rng,
+                        &mut sinks,
+                    );
                     (outcome, "ideal".to_string())
                 }
                 (None, Some(b)) => {
                     let mut medium = NodeCapacity::new(Ideal, b);
-                    let outcome =
-                        simulate_with(&instance, s.as_mut(), &mut medium, &config, &mut rng);
+                    let outcome = simulate_with_observed(
+                        &instance,
+                        s.as_mut(),
+                        &mut medium,
+                        &config,
+                        &mut rng,
+                        &mut sinks,
+                    );
                     (outcome, medium.name().to_string())
                 }
                 (Some(spec), None) => {
                     let mut model = parse_dynamics(spec)?;
                     let medium_name = model.name().to_string();
                     let mut medium = Dynamic::new(model.as_mut());
-                    let outcome =
-                        simulate_with(&instance, s.as_mut(), &mut medium, &config, &mut rng);
-                    // Re-validate against the recorded capacity trace.
-                    ocd_core::validate::replay_with_capacities(
+                    let outcome = simulate_with_observed(
                         &instance,
-                        &outcome.report.schedule,
-                        &outcome.capacity_trace,
-                    )
-                    .map_err(|e| format!("dynamic schedule failed validation: {e}"))?;
+                        s.as_mut(),
+                        &mut medium,
+                        &config,
+                        &mut rng,
+                        &mut sinks,
+                    );
                     (outcome, medium_name)
                 }
                 (Some(spec), Some(b)) => {
                     let mut model = parse_dynamics(spec)?;
                     let medium_name = format!("node-capacity({})", model.name());
                     let mut medium = NodeCapacity::new(Dynamic::new(model.as_mut()), b);
-                    let outcome =
-                        simulate_with(&instance, s.as_mut(), &mut medium, &config, &mut rng);
-                    ocd_core::validate::replay_with_capacities(
+                    let outcome = simulate_with_observed(
                         &instance,
-                        &outcome.report.schedule,
-                        &outcome.capacity_trace,
-                    )
-                    .map_err(|e| format!("dynamic schedule failed validation: {e}"))?;
+                        s.as_mut(),
+                        &mut medium,
+                        &config,
+                        &mut rng,
+                        &mut sinks,
+                    );
                     (outcome, medium_name)
                 }
             };
+            if dynamics.is_some() {
+                // Re-validate against the recorded capacity trace.
+                ocd_core::validate::replay_with_capacities(
+                    &instance,
+                    &outcome.report.schedule,
+                    &outcome.capacity_trace,
+                )
+                .map_err(|e| format!("dynamic schedule failed validation: {e}"))?;
+            }
             let report = &outcome.report;
+            let snapshot = sinks.0.as_ref().map(MetricsRegistry::snapshot);
             let mut out = String::new();
             let _ = writeln!(out, "strategy:   {} ({})", kind.name(), s.tier());
             if let Some(spec) = dynamics {
@@ -202,29 +228,15 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                 let _ = writeln!(out, "schedule written to {path}");
             }
             if let Some(path) = record {
-                let rec = outcome.to_record(&instance, kind.name(), &medium_name, *seed);
+                let mut rec = outcome.to_record(&instance, kind.name(), &medium_name, *seed);
+                rec.metrics.clone_from(&snapshot);
+                rec.provenance = sinks.1.as_ref().map(ProvenanceTrace::to_record);
                 rec.write_json(path.as_ref())
                     .map_err(|e| format!("write {path}: {e}"))?;
                 let _ = writeln!(out, "run record written to {path}");
             }
-            if let Some(path) = metrics {
-                let snap = outcome
-                    .metrics
-                    .as_ref()
-                    .expect("--metrics enables collection");
-                let rendered = if path.ends_with(".csv") {
-                    snap.to_csv()
-                } else {
-                    snap.to_json()
-                };
-                std::fs::write(path, rendered).map_err(|e| format!("write {path}: {e}"))?;
-                let _ = writeln!(
-                    out,
-                    "metrics snapshot written to {path} ({} counters, {} histograms, {} series)",
-                    snap.counters.len(),
-                    snap.histograms.len(),
-                    snap.series.len()
-                );
+            if let (Some(path), Some(snap)) = (metrics, &snapshot) {
+                write_metrics(&mut out, path, snap)?;
             }
             Ok(out)
         }
@@ -495,23 +507,36 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
             };
             let config = CodedSimConfig {
                 max_steps: *max_steps,
-                // Like `ocd run --metrics`: the coded recorder only
-                // books deterministic counters, so equal seeds produce
-                // byte-identical snapshots.
-                metrics: metrics.is_some(),
-                provenance: *provenance,
             };
+            // Like `ocd run --metrics`: the coded engine only books
+            // deterministic counters, so equal seeds produce
+            // byte-identical snapshots.
+            let mut sinks = (
+                metrics.is_some().then(MetricsRegistry::new),
+                provenance
+                    .then(|| ProvenanceTrace::new(inst.graph().node_count(), inst.generation())),
+            );
             let mut rng = StdRng::seed_from_u64(*seed);
             let outcome = if *loss > 0.0 {
-                ocd_heuristics::simulate_coded_with(
+                let mut medium = LossyCoded::new(*loss);
+                simulate_coded_with(
                     &inst,
                     strat.as_mut(),
-                    &mut LossyCoded::new(*loss),
+                    &mut medium,
                     &config,
                     &mut rng,
+                    &mut sinks,
                 )
             } else {
-                ocd_heuristics::simulate_coded(&inst, strat.as_mut(), &config, &mut rng)
+                let mut medium = IdealCoded;
+                simulate_coded_with(
+                    &inst,
+                    strat.as_mut(),
+                    &mut medium,
+                    &config,
+                    &mut rng,
+                    &mut sinks,
+                )
             };
             let r = &outcome.report;
             let mut out = String::new();
@@ -549,7 +574,7 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                     }
                 );
             }
-            if let Some(trace) = &outcome.provenance {
+            if let Some(trace) = &sinks.1 {
                 // Slot-indexed coded provenance: token r of the slot
                 // instance is the r-th innovative packet a vertex
                 // absorbed, so the standard critical-path/bottleneck
@@ -575,24 +600,8 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                     let _ = writeln!(out, "  vertex {v}: {} arcs {{{rendered}}}", arcs.len());
                 }
             }
-            if let Some(path) = metrics {
-                let snap = outcome
-                    .metrics
-                    .as_ref()
-                    .expect("--metrics enables collection");
-                let rendered = if path.ends_with(".csv") {
-                    snap.to_csv()
-                } else {
-                    snap.to_json()
-                };
-                std::fs::write(path, rendered).map_err(|e| format!("write {path}: {e}"))?;
-                let _ = writeln!(
-                    out,
-                    "metrics snapshot written to {path} ({} counters, {} histograms, {} series)",
-                    snap.counters.len(),
-                    snap.histograms.len(),
-                    snap.series.len()
-                );
+            if let (Some(path), Some(registry)) = (metrics, &sinks.0) {
+                write_metrics(&mut out, path, &registry.snapshot())?;
             }
             Ok(out)
         }
@@ -618,7 +627,7 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
             let mut out = String::new();
             match objective.as_str() {
                 "time" => {
-                    let r = solve_focd_with_spans(&inst, &BnbOptions::default(), &mut flight)
+                    let r = solve_focd_observed(&inst, &BnbOptions::default(), &mut flight)
                         .map_err(|e| format!("FOCD: {e}"))?;
                     let _ = writeln!(out, "optimal makespan: {} timesteps", r.makespan);
                     let _ = writeln!(out, "witness bandwidth: {}", r.schedule.bandwidth());
@@ -628,14 +637,13 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                 "bandwidth" => {
                     let h = if *horizon == 0 {
                         // Auto horizon: fastest completion plus slack.
-                        let fast =
-                            solve_focd_with_spans(&inst, &BnbOptions::default(), &mut flight)
-                                .map_err(|e| format!("FOCD for auto-horizon: {e}"))?;
+                        let fast = solve_focd_observed(&inst, &BnbOptions::default(), &mut flight)
+                            .map_err(|e| format!("FOCD for auto-horizon: {e}"))?;
                         fast.makespan + 3
                     } else {
                         *horizon
                     };
-                    let r = min_bandwidth_for_horizon_with_spans(&inst, h, &mip, &mut flight)
+                    let r = min_bandwidth_for_horizon_observed(&inst, h, &mip, &mut flight)
                         .map_err(|e| format!("EOCD IP: {e}"))?
                         .ok_or(format!("no successful schedule within {h} timesteps"))?;
                     let _ = writeln!(out, "optimal bandwidth within {h} steps: {}", r.bandwidth);
@@ -914,6 +922,25 @@ fn record_schedule_spans(rec: &ocd_core::RunRecord, spans: &mut FlightRecorder) 
         spans.attach(step_span, "tokens", tokens_moved);
         spans.close(step_span);
     }
+}
+
+/// Writes a metrics snapshot to `path` (CSV when the path ends in
+/// `.csv`, JSON otherwise) and notes it in `out`.
+fn write_metrics(out: &mut String, path: &str, snap: &MetricsSnapshot) -> Result<(), String> {
+    let rendered = if path.ends_with(".csv") {
+        snap.to_csv()
+    } else {
+        snap.to_json()
+    };
+    std::fs::write(path, rendered).map_err(|e| format!("write {path}: {e}"))?;
+    let _ = writeln!(
+        out,
+        "metrics snapshot written to {path} ({} counters, {} histograms, {} series)",
+        snap.counters.len(),
+        snap.histograms.len(),
+        snap.series.len()
+    );
+    Ok(())
 }
 
 fn emit(path: Option<&str>, content: String) -> Result<String, String> {

@@ -31,16 +31,17 @@
 //!   GF(2^8) arithmetic and random linear network coding with a
 //!   rank-tracked [`CodedBasis`] (the coded analogue of [`TokenSet`]),
 //!   next to the idealized k-of-n threshold model in [`coding`].
-//! - [`metrics`]: the suite-wide observability layer — a dependency-free
-//!   registry of counters/gauges/log2-histograms behind a [`Recorder`]
-//!   trait whose no-op impl monomorphizes away.
-//! - [`span`]: the flight-recorder layer — named, nested, timed spans
-//!   with attached counters and an instantaneous event stream behind a
-//!   zero-cost [`SpanRecorder`], exported as Chrome/Perfetto
-//!   timelines.
-//! - [`provenance`]: the causal token-provenance layer — who delivered
-//!   each token to each vertex, with critical-path/bottleneck analysis
-//!   and Chrome/Perfetto export, behind a zero-cost [`ProvenanceHook`].
+//! - [`observer`]: the one instrumentation interface every layer takes
+//!   — an [`Observer`] hands out up to three sinks, `()` is the
+//!   zero-cost no-op, and tuples compose.
+//! - [`metrics`]: the metrics sink — a dependency-free registry of
+//!   counters/gauges/log2-histograms ([`MetricsRegistry`]).
+//! - [`span`]: the span sink — named, nested, timed spans with attached
+//!   counters and an instantaneous event stream ([`FlightRecorder`]),
+//!   exported as Chrome/Perfetto timelines.
+//! - [`provenance`]: the provenance sink — who delivered each token to
+//!   each vertex ([`ProvenanceTrace`]), with critical-path/bottleneck
+//!   analysis and Chrome/Perfetto export.
 //! - [`record`]: the self-certifying JSON run artifact ([`RunRecord`])
 //!   shared by the engine, the CLI, and the bench pipeline.
 //! - [`scenario`]: generators for every experimental scenario in §5.
@@ -82,6 +83,7 @@ pub mod gf256;
 mod instance;
 pub mod knowledge;
 pub mod metrics;
+pub mod observer;
 pub mod provenance;
 pub mod prune;
 pub mod record;
@@ -94,11 +96,12 @@ pub mod validate;
 
 pub use budgets::NodeBudgets;
 pub use instance::{Instance, InstanceBuilder, InstanceError, InstanceStats};
-pub use metrics::{MetricsRegistry, MetricsSnapshot, NoopRecorder, Recorder};
-pub use provenance::{NoopProvenance, ProvenanceHook, ProvenanceRecord, ProvenanceTrace};
+pub use metrics::{MetricsRegistry, MetricsSnapshot};
+pub use observer::Observer;
+pub use provenance::{ProvenanceRecord, ProvenanceTrace};
 pub use record::{RecordError, RunRecord, StepTrace};
 pub use rlnc::{CodedBasis, CodedPacket, RlncInstance};
 pub use schedule::{Move, Schedule, ScheduleRecorder, Timestep};
-pub use span::{FlightRecorder, NoopSpans, SpanRecorder};
+pub use span::FlightRecorder;
 pub use token::{Token, TokenSet};
 pub use validate::{Replay, ScheduleError};

@@ -6,18 +6,15 @@
 //!
 //! # Design
 //!
-//! Instrumented code records through the [`Recorder`] trait, which has
-//! two implementations:
-//!
-//! - [`NoopRecorder`]: every method is an empty `#[inline]` body and
-//!   [`Recorder::enabled`] is a constant `false`. Code monomorphized
-//!   over it compiles down to the uninstrumented loop — metrics cost
-//!   **nothing when disabled** (the `engine_step_loop` microbench is
-//!   the regression guard).
-//! - [`MetricsRegistry`]: the real store. Metric *handles* are interned
-//!   once per run (string lookup at registration, index arithmetic on
-//!   the hot path), and [`MetricsRegistry::snapshot`] freezes the state
-//!   into a [`MetricsSnapshot`].
+//! [`MetricsRegistry`] is the store. Metric *handles* are interned once
+//! per run (string lookup at registration, index arithmetic on the hot
+//! path), and [`MetricsRegistry::snapshot`] freezes the state into a
+//! [`MetricsSnapshot`]. Instrumented code records through the
+//! [`Observer`](crate::Observer) it is generic over; the registry is
+//! the observer's metrics sink, and the `()` observer, which has none,
+//! compiles the recording calls away — metrics cost **nothing when
+//! disabled** (the `engine_step_loop` microbench is the regression
+//! guard).
 //!
 //! # Determinism
 //!
@@ -25,9 +22,9 @@
 //! histogram's bucket boundaries are fixed powers of two, and nothing
 //! in the registry depends on wall-clock time or iteration order — so
 //! two equal-seed runs of a deterministic system serialize to
-//! **byte-identical** snapshots. Wall-clock phase timings are opt-in at
-//! the recording site (e.g. `SimConfig::metric_timings` in the engine)
-//! precisely because they break that guarantee.
+//! **byte-identical** snapshots. No layer records wall-clock timings
+//! into the registry; timings live in a wall-clock
+//! [`FlightRecorder`](crate::FlightRecorder) instead.
 //!
 //! # Histogram bucket convention
 //!
@@ -47,7 +44,7 @@
 //! # Examples
 //!
 //! ```
-//! use ocd_core::metrics::{MetricsRegistry, Recorder};
+//! use ocd_core::metrics::MetricsRegistry;
 //!
 //! let mut reg = MetricsRegistry::new();
 //! let sends = reg.counter("net.sends");
@@ -78,88 +75,36 @@ pub fn bucket_of(value: u64) -> usize {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CounterId(usize);
 
+impl CounterId {
+    /// The placeholder an observer without a metrics sink hands out.
+    pub(crate) const NONE: CounterId = CounterId(0);
+}
+
 /// Handle to a registered gauge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GaugeId(usize);
+
+impl GaugeId {
+    /// The placeholder an observer without a metrics sink hands out.
+    pub(crate) const NONE: GaugeId = GaugeId(0);
+}
 
 /// Handle to a registered histogram.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HistogramId(usize);
 
+impl HistogramId {
+    /// The placeholder an observer without a metrics sink hands out.
+    pub(crate) const NONE: HistogramId = HistogramId(0);
+}
+
 /// Handle to a registered counter series.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SeriesId(usize);
 
-/// The recording interface instrumented code is generic over.
-///
-/// Registration methods (`counter`, `gauge`, `histogram`, `series`)
-/// intern a name into a handle — call them once per run, outside hot
-/// loops. Recording methods (`add`, `set`, `observe`, `series_add`)
-/// are the per-event hot path.
-///
-/// [`NoopRecorder`] implements everything as empty inline bodies;
-/// monomorphizing over it erases the instrumentation entirely. Hot
-/// paths that must *compute* something before recording it (e.g. read
-/// a clock) should guard on [`Recorder::enabled`], which is a constant
-/// after monomorphization.
-pub trait Recorder {
-    /// Whether recordings are kept. `false` for [`NoopRecorder`], and
-    /// constant-foldable after monomorphization.
-    fn enabled(&self) -> bool;
-
-    /// Interns (or retrieves) the counter `name`.
-    fn counter(&mut self, name: &str) -> CounterId;
-    /// Interns (or retrieves) the gauge `name`.
-    fn gauge(&mut self, name: &str) -> GaugeId;
-    /// Interns (or retrieves) the histogram `name`.
-    fn histogram(&mut self, name: &str) -> HistogramId;
-    /// Interns (or retrieves) the counter series `name`, growing it to
-    /// at least `len` slots.
-    fn series(&mut self, name: &str, len: usize) -> SeriesId;
-
-    /// Adds `delta` to a counter.
-    fn add(&mut self, id: CounterId, delta: u64);
-    /// Sets a gauge (last write wins).
-    fn set(&mut self, id: GaugeId, value: i64);
-    /// Records `value` into a histogram's log2 bucket.
-    fn observe(&mut self, id: HistogramId, value: u64);
-    /// Adds `delta` to slot `index` of a counter series.
-    fn series_add(&mut self, id: SeriesId, index: usize, delta: u64);
-}
-
-/// The do-nothing recorder: disabled metrics at zero cost.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopRecorder;
-
-impl Recorder for NoopRecorder {
-    #[inline(always)]
-    fn enabled(&self) -> bool {
-        false
-    }
-    #[inline(always)]
-    fn counter(&mut self, _name: &str) -> CounterId {
-        CounterId(0)
-    }
-    #[inline(always)]
-    fn gauge(&mut self, _name: &str) -> GaugeId {
-        GaugeId(0)
-    }
-    #[inline(always)]
-    fn histogram(&mut self, _name: &str) -> HistogramId {
-        HistogramId(0)
-    }
-    #[inline(always)]
-    fn series(&mut self, _name: &str, _len: usize) -> SeriesId {
-        SeriesId(0)
-    }
-    #[inline(always)]
-    fn add(&mut self, _id: CounterId, _delta: u64) {}
-    #[inline(always)]
-    fn set(&mut self, _id: GaugeId, _value: i64) {}
-    #[inline(always)]
-    fn observe(&mut self, _id: HistogramId, _value: u64) {}
-    #[inline(always)]
-    fn series_add(&mut self, _id: SeriesId, _index: usize, _delta: u64) {}
+impl SeriesId {
+    /// The placeholder an observer without a metrics sink hands out.
+    pub(crate) const NONE: SeriesId = SeriesId(0);
 }
 
 #[derive(Debug, Clone)]
@@ -207,6 +152,59 @@ impl MetricsRegistry {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Interns (or retrieves) the counter `name`.
+    pub fn counter(&mut self, name: &str) -> CounterId {
+        CounterId(intern(&mut self.counters, name, || 0))
+    }
+
+    /// Interns (or retrieves) the gauge `name`.
+    pub fn gauge(&mut self, name: &str) -> GaugeId {
+        GaugeId(intern(&mut self.gauges, name, || 0))
+    }
+
+    /// Interns (or retrieves) the histogram `name`.
+    pub fn histogram(&mut self, name: &str) -> HistogramId {
+        HistogramId(intern(&mut self.histograms, name, Histogram::new))
+    }
+
+    /// Interns (or retrieves) the counter series `name`, growing it to
+    /// at least `len` slots.
+    pub fn series(&mut self, name: &str, len: usize) -> SeriesId {
+        let idx = intern(&mut self.series, name, Vec::new);
+        let values = &mut self.series[idx].1;
+        if values.len() < len {
+            values.resize(len, 0);
+        }
+        SeriesId(idx)
+    }
+
+    /// Adds `delta` to a counter.
+    #[inline]
+    pub fn add(&mut self, id: CounterId, delta: u64) {
+        self.counters[id.0].1 += delta;
+    }
+
+    /// Sets a gauge (last write wins).
+    #[inline]
+    pub fn set(&mut self, id: GaugeId, value: i64) {
+        self.gauges[id.0].1 = value;
+    }
+
+    /// Records `value` into a histogram's log2 bucket.
+    #[inline]
+    pub fn observe(&mut self, id: HistogramId, value: u64) {
+        let h = &mut self.histograms[id.0].1;
+        h.count += 1;
+        h.sum = h.sum.saturating_add(value);
+        h.buckets[bucket_of(value)] += 1;
+    }
+
+    /// Adds `delta` to slot `index` of a counter series.
+    #[inline]
+    pub fn series_add(&mut self, id: SeriesId, index: usize, delta: u64) {
+        self.series[id.0].1[index] += delta;
     }
 
     /// Freezes the current state into a canonical (name-sorted)
@@ -291,49 +289,6 @@ impl MetricsRegistry {
     }
 }
 
-impl Recorder for MetricsRegistry {
-    #[inline]
-    fn enabled(&self) -> bool {
-        true
-    }
-    fn counter(&mut self, name: &str) -> CounterId {
-        CounterId(intern(&mut self.counters, name, || 0))
-    }
-    fn gauge(&mut self, name: &str) -> GaugeId {
-        GaugeId(intern(&mut self.gauges, name, || 0))
-    }
-    fn histogram(&mut self, name: &str) -> HistogramId {
-        HistogramId(intern(&mut self.histograms, name, Histogram::new))
-    }
-    fn series(&mut self, name: &str, len: usize) -> SeriesId {
-        let idx = intern(&mut self.series, name, Vec::new);
-        let values = &mut self.series[idx].1;
-        if values.len() < len {
-            values.resize(len, 0);
-        }
-        SeriesId(idx)
-    }
-    #[inline]
-    fn add(&mut self, id: CounterId, delta: u64) {
-        self.counters[id.0].1 += delta;
-    }
-    #[inline]
-    fn set(&mut self, id: GaugeId, value: i64) {
-        self.gauges[id.0].1 = value;
-    }
-    #[inline]
-    fn observe(&mut self, id: HistogramId, value: u64) {
-        let h = &mut self.histograms[id.0].1;
-        h.count += 1;
-        h.sum = h.sum.saturating_add(value);
-        h.buckets[bucket_of(value)] += 1;
-    }
-    #[inline]
-    fn series_add(&mut self, id: SeriesId, index: usize, delta: u64) {
-        self.series[id.0].1[index] += delta;
-    }
-}
-
 /// One counter in a snapshot.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CounterSnapshot {
@@ -387,8 +342,7 @@ pub struct SeriesSnapshot {
 /// [`RunRecord`](crate::RunRecord).
 ///
 /// Snapshots of deterministic same-seed runs are byte-identical when
-/// serialized (wall-clock timing metrics are opt-in at the recording
-/// site for exactly this reason).
+/// serialized.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
     /// Counters, sorted by name.
@@ -559,21 +513,6 @@ mod tests {
         assert_eq!(s1, s2);
         reg.series_add(s2, 4, 1);
         assert_eq!(reg.snapshot().series("s").unwrap().len(), 5);
-    }
-
-    #[test]
-    fn noop_recorder_is_disabled_and_inert() {
-        let mut noop = NoopRecorder;
-        assert!(!noop.enabled());
-        let c = noop.counter("anything");
-        noop.add(c, 1_000);
-        let h = noop.histogram("h");
-        noop.observe(h, 42);
-        let s = noop.series("s", 10);
-        noop.series_add(s, 9, 1);
-        let g = noop.gauge("g");
-        noop.set(g, 1);
-        // Nothing to assert beyond "does not panic": Noop holds no state.
     }
 
     #[test]

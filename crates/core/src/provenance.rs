@@ -20,13 +20,13 @@
 //!   vertex, one slice per transfer, flow arrows along token lineage)
 //!   and to deterministic native JSON/CSV.
 //!
-//! # Zero-cost hook
+//! # Zero-cost recording
 //!
-//! Instrumented code records through the [`ProvenanceHook`] trait,
-//! mirroring the metrics layer's [`Recorder`](crate::metrics::Recorder)
-//! pattern: [`NoopProvenance`] is a constant-`false`, empty-body
-//! implementation that monomorphizes away (the `engine_step_loop`
-//! microbench guards this), while [`ProvenanceTrace`] is the real store.
+//! [`ProvenanceTrace`] is the store. Instrumented code records through
+//! the [`Observer`](crate::Observer) it is generic over; the trace is
+//! the observer's provenance sink, and the `()` observer, which has
+//! none, compiles the recording calls away (the `engine_step_loop`
+//! microbench guards this).
 //!
 //! # Determinism
 //!
@@ -82,51 +82,6 @@ pub struct Acquisition {
     pub step: u64,
 }
 
-/// The recording interface provenance-instrumented code is generic
-/// over, mirroring the metrics layer's `Recorder` pattern.
-///
-/// [`NoopProvenance`] implements both methods as constant/empty inline
-/// bodies, so monomorphizing over it erases the instrumentation
-/// entirely; [`ProvenanceTrace`] is the real store.
-pub trait ProvenanceHook {
-    /// Whether recordings are kept. Constant `false` for
-    /// [`NoopProvenance`], and constant-foldable after monomorphization.
-    fn enabled(&self) -> bool;
-
-    /// Records that `delta` (tokens the receiver did **not** already
-    /// hold) was delivered to `dst` over `edge` from `src` during
-    /// timestep `step`. First write per `(dst, token)` wins.
-    fn record_delivery(
-        &mut self,
-        step: u64,
-        edge: EdgeId,
-        src: NodeId,
-        dst: NodeId,
-        delta: &TokenSet,
-    );
-}
-
-/// The do-nothing hook: disabled provenance at zero cost.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopProvenance;
-
-impl ProvenanceHook for NoopProvenance {
-    #[inline(always)]
-    fn enabled(&self) -> bool {
-        false
-    }
-    #[inline(always)]
-    fn record_delivery(
-        &mut self,
-        _step: u64,
-        _edge: EdgeId,
-        _src: NodeId,
-        _dst: NodeId,
-        _delta: &TokenSet,
-    ) {
-    }
-}
-
 /// The live provenance store: one optional [`Acquisition`] per
 /// `(vertex, token)` slot, densely indexed by `vertex * tokens + token`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -136,14 +91,22 @@ pub struct ProvenanceTrace {
     parents: Vec<Option<Acquisition>>,
 }
 
-impl ProvenanceHook for ProvenanceTrace {
-    #[inline]
-    fn enabled(&self) -> bool {
-        true
+impl ProvenanceTrace {
+    /// Creates an empty trace for `vertices × tokens` slots.
+    #[must_use]
+    pub fn new(vertices: usize, tokens: usize) -> Self {
+        ProvenanceTrace {
+            vertices,
+            tokens,
+            parents: vec![None; vertices * tokens],
+        }
     }
 
+    /// Records that `delta` (tokens the receiver did **not** already
+    /// hold) was delivered to `dst` over `edge` from `src` during
+    /// timestep `step`. First write per `(dst, token)` wins.
     #[inline]
-    fn record_delivery(
+    pub fn record_delivery(
         &mut self,
         step: u64,
         edge: EdgeId,
@@ -157,18 +120,6 @@ impl ProvenanceHook for ProvenanceTrace {
             if slot.is_none() {
                 *slot = Some(Acquisition { edge, src, step });
             }
-        }
-    }
-}
-
-impl ProvenanceTrace {
-    /// Creates an empty trace for `vertices × tokens` slots.
-    #[must_use]
-    pub fn new(vertices: usize, tokens: usize) -> Self {
-        ProvenanceTrace {
-            vertices,
-            tokens,
-            parents: vec![None; vertices * tokens],
         }
     }
 

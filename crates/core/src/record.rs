@@ -390,6 +390,17 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_json_is_an_error_not_a_stack_overflow() {
+        // Without a nesting budget the recursive parser overflows its
+        // stack on this input and aborts the process.
+        let depth = 200_000;
+        let hostile = "[".repeat(depth) + &"]".repeat(depth);
+        let err = RunRecord::from_json(&hostile).unwrap_err();
+        assert!(matches!(err, RecordError::Json(_)), "{err}");
+        assert!(err.to_string().contains("recursion limit"), "{err}");
+    }
+
+    #[test]
     fn certify_rejects_unknown_version() {
         let mut record = sample_record();
         record.version = 99;
@@ -429,8 +440,8 @@ mod tests {
         let mut record = sample_record();
         record.version = 2;
         let mut reg = crate::metrics::MetricsRegistry::new();
-        let c = crate::metrics::Recorder::counter(&mut reg, "engine.moves");
-        crate::metrics::Recorder::add(&mut reg, c, 2);
+        let c = reg.counter("engine.moves");
+        reg.add(c, 2);
         record.metrics = Some(reg.snapshot());
         let v2_json = record
             .to_json()

@@ -5,20 +5,15 @@
 //!
 //! # Design
 //!
-//! Instrumented code records through the [`SpanRecorder`] trait, which
-//! has two implementations — the same zero-cost pattern as
-//! [`Recorder`](crate::metrics::Recorder) and
-//! [`ProvenanceHook`](crate::provenance::ProvenanceHook):
-//!
-//! - [`NoopSpans`]: every method is an empty `#[inline(always)]` body
-//!   and [`SpanRecorder::enabled`] is a constant `false`. Code
-//!   monomorphized over it compiles down to the uninstrumented loop —
-//!   spans cost **nothing when disabled** (the `engine_step_loop`
-//!   microbench is the regression guard).
-//! - [`FlightRecorder`]: the real store. Spans nest by open/close
-//!   order (strictly LIFO), carry `(key, value)` counters attached
-//!   while open, and share a run-wide sequence clock with the
-//!   instantaneous [`SpanRecorder::event`] stream.
+//! [`FlightRecorder`] is the store. Spans nest by open/close order
+//! (strictly LIFO), carry `(key, value)` counters attached while open,
+//! and share a run-wide sequence clock with the instantaneous
+//! [`FlightRecorder::event`] stream. Instrumented code records through
+//! the [`Observer`](crate::Observer) it is generic over; the recorder is
+//! the observer's span sink, and the `()` observer, which has none,
+//! compiles the recording calls away — spans cost **nothing when
+//! disabled** (the `engine_step_loop` microbench is the regression
+//! guard).
 //!
 //! # Two clocks
 //!
@@ -30,14 +25,13 @@
 //! driven by a deterministic system serializes to **byte-identical**
 //! artifacts across equal-seed runs — the same contract as
 //! [`MetricsSnapshot`](crate::metrics::MetricsSnapshot). Wall-clock
-//! durations are opt-in at the construction site (e.g.
-//! `SimConfig::metric_timings` in the engine) precisely because they
-//! break that guarantee.
+//! durations are opt-in at the construction site precisely because
+//! they break that guarantee.
 //!
 //! # Examples
 //!
 //! ```
-//! use ocd_core::span::{FlightRecorder, SpanRecorder};
+//! use ocd_core::span::FlightRecorder;
 //!
 //! let mut rec = FlightRecorder::logical();
 //! let step = rec.open("engine.step");
@@ -57,6 +51,11 @@ use std::time::Instant;
 /// Handle to an open (or closed) span inside one recorder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanId(u32);
+
+impl SpanId {
+    /// The placeholder an observer without a span sink hands out.
+    pub(crate) const NONE: SpanId = SpanId(0);
+}
 
 /// One finished span: where it sat in the nesting, its interval on the
 /// run's sequence clock, its wall-clock duration (zero under a
@@ -78,7 +77,7 @@ pub struct SpanRecord {
     /// Wall-clock nanoseconds between open and close; 0 under the
     /// logical clock.
     pub wall_ns: u64,
-    /// Counters attached via [`SpanRecorder::attach`], in attach order.
+    /// Counters attached via [`FlightRecorder::attach`], in attach order.
     pub counters: Vec<(&'static str, u64)>,
 }
 
@@ -91,58 +90,6 @@ pub struct SpanEvent {
     pub seq: u64,
     /// The event's payload value.
     pub value: u64,
-}
-
-/// The span-recording interface instrumented code is generic over.
-///
-/// Spans are strictly nested: [`SpanRecorder::close`] must receive the
-/// innermost open span (LIFO). Counters are deterministic metadata —
-/// attach quantities derived from the computation (moves admitted, LP
-/// iterations, bounds in milli-units), never clock readings, so that
-/// logical-clock artifacts stay byte-identical across equal seeds.
-///
-/// [`NoopSpans`] implements everything as empty `#[inline(always)]`
-/// bodies; monomorphizing over it erases the instrumentation entirely.
-/// Hot paths that must *compute* something before recording it should
-/// guard on [`SpanRecorder::enabled`], which is a constant after
-/// monomorphization.
-pub trait SpanRecorder {
-    /// Whether recordings are kept. `false` for [`NoopSpans`], and
-    /// constant-foldable after monomorphization.
-    fn enabled(&self) -> bool;
-
-    /// Opens a named span nested under the innermost open span.
-    fn open(&mut self, name: &'static str) -> SpanId;
-
-    /// Closes a span. Must be the innermost open span.
-    fn close(&mut self, id: SpanId);
-
-    /// Attaches a `(key, value)` counter to an open span.
-    fn attach(&mut self, id: SpanId, key: &'static str, value: u64);
-
-    /// Records an instantaneous named event.
-    fn event(&mut self, name: &'static str, value: u64);
-}
-
-/// The do-nothing recorder: disabled spans at zero cost.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopSpans;
-
-impl SpanRecorder for NoopSpans {
-    #[inline(always)]
-    fn enabled(&self) -> bool {
-        false
-    }
-    #[inline(always)]
-    fn open(&mut self, _name: &'static str) -> SpanId {
-        SpanId(0)
-    }
-    #[inline(always)]
-    fn close(&mut self, _id: SpanId) {}
-    #[inline(always)]
-    fn attach(&mut self, _id: SpanId, _key: &'static str, _value: u64) {}
-    #[inline(always)]
-    fn event(&mut self, _name: &'static str, _value: u64) {}
 }
 
 /// Which clock a [`FlightRecorder`] runs.
@@ -197,6 +144,55 @@ impl FlightRecorder {
         let now = self.seq;
         self.seq += 1;
         now
+    }
+
+    /// Opens a named span nested under the innermost open span.
+    pub fn open(&mut self, name: &'static str) -> SpanId {
+        let start_seq = self.tick();
+        let parent = self.stack.last().map(|&(i, _)| SpanId(i));
+        let depth = self.stack.len() as u16;
+        let index = self.spans.len() as u32;
+        self.spans.push(SpanRecord {
+            name,
+            parent,
+            depth,
+            start_seq,
+            end_seq: start_seq,
+            wall_ns: 0,
+            counters: Vec::new(),
+        });
+        self.stack.push((index, Instant::now()));
+        SpanId(index)
+    }
+
+    /// Closes a span.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `id` is the innermost open span (LIFO).
+    pub fn close(&mut self, id: SpanId) {
+        let (index, opened) = self.stack.pop().expect("close called with no span open");
+        assert_eq!(index, id.0, "spans must close innermost-first (LIFO)");
+        let end_seq = self.tick();
+        let span = &mut self.spans[index as usize];
+        span.end_seq = end_seq;
+        if self.clock == SpanClock::Wall {
+            span.wall_ns = u64::try_from(opened.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        }
+    }
+
+    /// Attaches a `(key, value)` counter to an open span. Counters are
+    /// deterministic metadata — quantities derived from the
+    /// computation, never clock readings — so logical-clock artifacts
+    /// stay byte-identical across equal seeds.
+    pub fn attach(&mut self, id: SpanId, key: &'static str, value: u64) {
+        self.spans[id.0 as usize].counters.push((key, value));
+    }
+
+    /// Records an instantaneous named event.
+    pub fn event(&mut self, name: &'static str, value: u64) {
+        let seq = self.tick();
+        self.events.push(SpanEvent { name, seq, value });
     }
 
     /// All spans, in open order.
@@ -371,50 +367,6 @@ impl FlightRecorder {
     }
 }
 
-impl SpanRecorder for FlightRecorder {
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn open(&mut self, name: &'static str) -> SpanId {
-        let start_seq = self.tick();
-        let parent = self.stack.last().map(|&(i, _)| SpanId(i));
-        let depth = self.stack.len() as u16;
-        let index = self.spans.len() as u32;
-        self.spans.push(SpanRecord {
-            name,
-            parent,
-            depth,
-            start_seq,
-            end_seq: start_seq,
-            wall_ns: 0,
-            counters: Vec::new(),
-        });
-        self.stack.push((index, Instant::now()));
-        SpanId(index)
-    }
-
-    fn close(&mut self, id: SpanId) {
-        let (index, opened) = self.stack.pop().expect("close called with no span open");
-        assert_eq!(index, id.0, "spans must close innermost-first (LIFO)");
-        let end_seq = self.tick();
-        let span = &mut self.spans[index as usize];
-        span.end_seq = end_seq;
-        if self.clock == SpanClock::Wall {
-            span.wall_ns = u64::try_from(opened.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        }
-    }
-
-    fn attach(&mut self, id: SpanId, key: &'static str, value: u64) {
-        self.spans[id.0 as usize].counters.push((key, value));
-    }
-
-    fn event(&mut self, name: &'static str, value: u64) {
-        let seq = self.tick();
-        self.events.push(SpanEvent { name, seq, value });
-    }
-}
-
 /// Escapes a name for embedding in a JSON string (names are static
 /// identifiers, but quotes and backslashes are handled defensively).
 fn escape(raw: &str) -> String {
@@ -426,19 +378,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn noop_is_disabled_and_inert() {
-        let mut noop = NoopSpans;
-        assert!(!noop.enabled());
-        let id = noop.open("anything");
-        noop.attach(id, "k", 1);
-        noop.event("e", 2);
-        noop.close(id);
-    }
-
-    #[test]
     fn spans_nest_and_interleave_with_events() {
         let mut rec = FlightRecorder::logical();
-        assert!(rec.enabled());
         let outer = rec.open("outer");
         let inner = rec.open("inner");
         rec.attach(inner, "moves", 5);

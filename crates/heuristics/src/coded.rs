@@ -5,10 +5,9 @@
 //! exactly: a [`CodedMedium`] abstracts per-step capacities and
 //! per-packet delivery (the coded counterpart of
 //! [`Medium`](crate::Medium), whose admission contract is token-set
-//! shaped and therefore cannot carry coefficient-vector packets), a
-//! [`Recorder`](ocd_core::Recorder) collects metrics, and a
-//! [`ProvenanceHook`](ocd_core::ProvenanceHook) captures lineage — all
-//! three monomorphize to nothing when disabled.
+//! shaped and therefore cannot carry coefficient-vector packets), and
+//! an [`Observer`] collects metrics and lineage — compiled away under
+//! the `()` observer.
 //!
 //! The per-vertex state is a [`CodedBasis`] instead of a
 //! [`TokenSet`](ocd_core::TokenSet): senders emit random combinations
@@ -25,11 +24,11 @@
 //! per-arc bottleneck analysis applies, and
 //! [`ProvenanceTrace::contributing_arcs`] reads off the *set* of arcs
 //! whose packets entered each decoding basis.
+//!
+//! [`ProvenanceTrace::contributing_arcs`]: ocd_core::ProvenanceTrace::contributing_arcs
 
-use ocd_core::metrics::{CounterId, MetricsRegistry, MetricsSnapshot, NoopRecorder, Recorder};
-use ocd_core::provenance::{NoopProvenance, ProvenanceHook, ProvenanceTrace};
 use ocd_core::rlnc::{CodedBasis, RlncInstance};
-use ocd_core::{Token, TokenSet};
+use ocd_core::{Observer, Token, TokenSet};
 use ocd_graph::{DiGraph, EdgeId};
 use rand::{Rng, RngCore};
 
@@ -271,19 +270,11 @@ impl CodedStrategy for CodedLocal {
 pub struct CodedSimConfig {
     /// Hard step cap.
     pub max_steps: usize,
-    /// Collect a [`MetricsSnapshot`].
-    pub metrics: bool,
-    /// Record slot-indexed coded provenance.
-    pub provenance: bool,
 }
 
 impl Default for CodedSimConfig {
     fn default() -> Self {
-        CodedSimConfig {
-            max_steps: 10_000,
-            metrics: false,
-            provenance: false,
-        }
+        CodedSimConfig { max_steps: 10_000 }
     }
 }
 
@@ -314,129 +305,54 @@ pub struct CodedSimReport {
     pub decode_ok: bool,
 }
 
-/// A coded run's report plus optional instrumentation artifacts.
+/// A coded run's outcome.
 #[derive(Debug, Clone)]
 pub struct CodedOutcome {
     /// Outcome counters.
     pub report: CodedSimReport,
-    /// Snapshot when [`CodedSimConfig::metrics`] was set.
-    pub metrics: Option<MetricsSnapshot>,
-    /// Slot-indexed trace when [`CodedSimConfig::provenance`] was set.
-    pub provenance: Option<ProvenanceTrace>,
 }
 
-/// Runs a coded strategy on the ideal medium.
+/// Runs a coded strategy on the ideal medium, unobserved.
 pub fn simulate_coded(
     instance: &RlncInstance,
     strategy: &mut dyn CodedStrategy,
     config: &CodedSimConfig,
     rng: &mut dyn RngCore,
 ) -> CodedOutcome {
-    simulate_coded_with(instance, strategy, &mut IdealCoded, config, rng)
+    simulate_coded_with(instance, strategy, &mut IdealCoded, config, rng, &mut ())
 }
 
-/// Runs a coded strategy over an explicit [`CodedMedium`], dispatching
-/// to the monomorphized loop for each instrumentation combination —
-/// the same zero-cost pattern as the uncoded
-/// [`simulate_with`](crate::simulate_with).
+/// Runs a coded strategy over an explicit [`CodedMedium`], reporting to
+/// `obs` — the same zero-cost pattern as the uncoded
+/// [`simulate_with_observed`](crate::simulate_with_observed).
+///
+/// What `obs` sees: the `coded.*` packet counters (sent, innovative,
+/// redundant, lost, bytes) as metrics, and slot-indexed provenance —
+/// size the trace as
+/// `ProvenanceTrace::new(instance.graph().node_count(), instance.generation())`.
+/// Both are deterministic, and observing never touches the RNG stream.
 ///
 /// # Panics
 ///
 /// Panics if the strategy violates capacity, sends on a non-existent
 /// arc, duplicates an arc within a step, or plans from an empty basis.
-pub fn simulate_coded_with<M: CodedMedium>(
+pub fn simulate_coded_with<M: CodedMedium, O: Observer>(
     instance: &RlncInstance,
     strategy: &mut dyn CodedStrategy,
     medium: &mut M,
     config: &CodedSimConfig,
     rng: &mut dyn RngCore,
-) -> CodedOutcome {
-    let new_trace = || ProvenanceTrace::new(instance.graph().node_count(), instance.generation());
-    match (config.metrics, config.provenance) {
-        (true, true) => {
-            let mut registry = MetricsRegistry::new();
-            let mut prov = new_trace();
-            let mut outcome = coded_loop(
-                instance,
-                strategy,
-                medium,
-                config,
-                rng,
-                &mut registry,
-                &mut prov,
-            );
-            outcome.metrics = Some(registry.snapshot());
-            outcome.provenance = Some(prov);
-            outcome
-        }
-        (true, false) => {
-            let mut registry = MetricsRegistry::new();
-            let mut outcome = coded_loop(
-                instance,
-                strategy,
-                medium,
-                config,
-                rng,
-                &mut registry,
-                &mut NoopProvenance,
-            );
-            outcome.metrics = Some(registry.snapshot());
-            outcome
-        }
-        (false, true) => {
-            let mut prov = new_trace();
-            let mut outcome = coded_loop(
-                instance,
-                strategy,
-                medium,
-                config,
-                rng,
-                &mut NoopRecorder,
-                &mut prov,
-            );
-            outcome.provenance = Some(prov);
-            outcome
-        }
-        (false, false) => coded_loop(
-            instance,
-            strategy,
-            medium,
-            config,
-            rng,
-            &mut NoopRecorder,
-            &mut NoopProvenance,
-        ),
-    }
-}
-
-struct Counters {
-    sent: CounterId,
-    innovative: CounterId,
-    redundant: CounterId,
-    lost: CounterId,
-    bytes: CounterId,
-}
-
-fn coded_loop<M: CodedMedium, R: Recorder, P: ProvenanceHook>(
-    instance: &RlncInstance,
-    strategy: &mut dyn CodedStrategy,
-    medium: &mut M,
-    config: &CodedSimConfig,
-    rng: &mut dyn RngCore,
-    rec: &mut R,
-    prov: &mut P,
+    obs: &mut O,
 ) -> CodedOutcome {
     let g = instance.graph();
     let k = instance.generation();
     medium.reset(g);
     strategy.reset(instance);
-    let counters = Counters {
-        sent: rec.counter("coded.packets_sent"),
-        innovative: rec.counter("coded.innovative_deliveries"),
-        redundant: rec.counter("coded.redundant_deliveries"),
-        lost: rec.counter("coded.packets_lost"),
-        bytes: rec.counter("coded.bytes_sent"),
-    };
+    let m_sent = obs.counter("coded.packets_sent");
+    let m_innovative = obs.counter("coded.innovative_deliveries");
+    let m_redundant = obs.counter("coded.redundant_deliveries");
+    let m_lost = obs.counter("coded.packets_lost");
+    let m_bytes = obs.counter("coded.bytes_sent");
     let static_caps: Vec<u32> = g.edge_ids().map(|e| g.capacity(e)).collect();
     let receiver: Vec<bool> = g.nodes().map(|v| instance.is_receiver(v)).collect();
     let mut bases = instance.initial_bases();
@@ -493,11 +409,11 @@ fn coded_loop<M: CodedMedium, R: Recorder, P: ProvenanceHook>(
                 let packet = snapshot[arc.src.index()].random_packet(rng);
                 report.packets_sent += 1;
                 report.bytes_sent += packet.wire_bytes();
-                rec.add(counters.sent, 1);
-                rec.add(counters.bytes, packet.wire_bytes());
+                obs.add(m_sent, 1);
+                obs.add(m_bytes, packet.wire_bytes());
                 if !medium.deliver(e, rng) {
                     report.packets_lost += 1;
-                    rec.add(counters.lost, 1);
+                    obs.add(m_lost, 1);
                     continue;
                 }
                 // Innovation is judged against the receiver's *live*
@@ -507,17 +423,17 @@ fn coded_loop<M: CodedMedium, R: Recorder, P: ProvenanceHook>(
                 let slot = bases[dst].rank();
                 if bases[dst].absorb(packet) {
                     report.innovative_deliveries += 1;
-                    rec.add(counters.innovative, 1);
-                    if prov.enabled() {
+                    obs.add(m_innovative, 1);
+                    if let Some(trace) = obs.provenance() {
                         let delta = TokenSet::from_tokens(k, [Token::new(slot)]);
-                        prov.record_delivery(step as u64, e, arc.src, arc.dst, &delta);
+                        trace.record_delivery(step as u64, e, arc.src, arc.dst, &delta);
                     }
                     if bases[dst].is_complete() && completion[dst].is_none() {
                         completion[dst] = Some(step + 1);
                     }
                 } else {
                     report.redundant_deliveries += 1;
-                    rec.add(counters.redundant, 1);
+                    obs.add(m_redundant, 1);
                 }
             }
         }
@@ -528,11 +444,7 @@ fn coded_loop<M: CodedMedium, R: Recorder, P: ProvenanceHook>(
         && g.nodes()
             .all(|v| !receiver[v.index()] || instance.decodes_correctly(&bases[v.index()]));
     report.completion_steps = completion;
-    CodedOutcome {
-        report,
-        metrics: None,
-        provenance: None,
-    }
+    CodedOutcome { report }
 }
 
 #[cfg(test)]
@@ -540,6 +452,7 @@ mod tests {
     use super::*;
     use crate::{simulate, SimConfig, StrategyKind};
     use ocd_core::scenario::single_file;
+    use ocd_core::{MetricsRegistry, ProvenanceTrace};
     use ocd_graph::generate::{classic, paper_random};
     use rand::prelude::*;
 
@@ -664,6 +577,7 @@ mod tests {
             &mut LossyCoded::new(0.3),
             &CodedSimConfig::default(),
             &mut rng,
+            &mut (),
         );
         assert!(out.report.success && out.report.decode_ok);
         assert!(out.report.packets_lost > 0, "losses actually happened");
@@ -673,14 +587,20 @@ mod tests {
     fn coded_provenance_reports_lineage_sets_and_bottlenecks() {
         let inst = RlncInstance::single_source(classic::cycle(6, 2, true), 5, 8, 0);
         let mut rng = StdRng::seed_from_u64(4);
-        let config = CodedSimConfig {
-            provenance: true,
-            metrics: true,
-            ..CodedSimConfig::default()
-        };
-        let out = simulate_coded(&inst, &mut CodedRandom::new(1.0), &config, &mut rng);
+        let mut sinks = (
+            MetricsRegistry::new(),
+            ProvenanceTrace::new(inst.graph().node_count(), inst.generation()),
+        );
+        let out = simulate_coded_with(
+            &inst,
+            &mut CodedRandom::new(1.0),
+            &mut IdealCoded,
+            &CodedSimConfig::default(),
+            &mut rng,
+            &mut sinks,
+        );
         assert!(out.report.success);
-        let trace = out.provenance.expect("provenance requested");
+        let (registry, trace) = sinks;
         // Every innovative delivery filled exactly one fresh slot.
         assert_eq!(trace.len() as u64, out.report.innovative_deliveries);
         let slots = inst.slot_instance();
@@ -697,7 +617,7 @@ mod tests {
             assert!(lineage.iter().all(|&e| inst.graph().edge(e).dst == v));
         }
         // Metrics agree with the report.
-        let metrics = out.metrics.expect("metrics requested");
+        let metrics = registry.snapshot();
         assert_eq!(
             metrics.counter("coded.innovative_deliveries"),
             Some(out.report.innovative_deliveries)

@@ -1,10 +1,12 @@
 //! The step-by-step simulation engine.
 //!
-//! There is exactly **one** step loop — [`simulate_with`], generic over
-//! the transmission [`Medium`] — shared by the ideal §3.1 model
-//! ([`crate::simulate`]), changing network conditions
-//! ([`crate::simulate_dynamic`]), and physical-underlay admission
-//! control ([`crate::simulate_underlay`]).
+//! There is exactly **one** step loop — [`simulate_with_observed`],
+//! generic over the transmission [`Medium`] and the [`Observer`] — shared
+//! by the ideal §3.1 model ([`crate::simulate`]), changing network
+//! conditions (the [`Dynamic`](crate::Dynamic) medium), physical-underlay
+//! admission control (the [`PhysicalUnderlay`](crate::PhysicalUnderlay)
+//! medium), and node budgets (the [`NodeCapacity`](crate::NodeCapacity)
+//! medium).
 //!
 //! The loop is written to be **incremental and allocation-free in
 //! steady state**: aggregate knowledge is maintained by counter updates
@@ -20,11 +22,8 @@
 use crate::medium::{Ideal, Medium};
 use crate::{Strategy, WorldView};
 use ocd_core::knowledge::{AggregateKnowledge, DelayedAggregates};
-use ocd_core::metrics::{MetricsRegistry, MetricsSnapshot, NoopRecorder, Recorder};
-use ocd_core::provenance::{NoopProvenance, ProvenanceHook, ProvenanceTrace};
 use ocd_core::record::{RunRecord, StepTrace, RUN_RECORD_VERSION};
-use ocd_core::span::{FlightRecorder, NoopSpans, SpanRecorder};
-use ocd_core::{Instance, Schedule, Timestep, TokenSet};
+use ocd_core::{Instance, Observer, Schedule, Timestep, TokenSet};
 use rand::RngCore;
 use std::time::Instant;
 
@@ -38,28 +37,6 @@ pub struct SimConfig {
     /// strategies see — the paper's "state `k` turns ago" relaxation
     /// (§5.1). 0 = fresh aggregates, the paper's default assumption.
     pub knowledge_delay: usize,
-    /// Record run metrics (headline counters, the per-step move
-    /// histogram, per-arc utilization series) into a
-    /// [`MetricsSnapshot`] on the outcome. The recorded set is fully
-    /// deterministic: equal-seed runs snapshot byte-identically. Off by
-    /// default — the disabled path monomorphizes over
-    /// [`NoopRecorder`] and costs nothing.
-    pub metrics: bool,
-    /// Additionally run the step loop under a wall-clock
-    /// [`FlightRecorder`] whose per-phase spans (`engine.plan` /
-    /// `engine.admit` / `engine.apply`) are folded into the
-    /// `engine.plan_nanos` / `engine.admit_nanos` / `engine.apply_nanos`
-    /// histograms after the run. Timings are inherently
-    /// nondeterministic, so this breaks the byte-identical-snapshot
-    /// guarantee; keep it off for comparable artifacts. No effect
-    /// unless `metrics` is also set.
-    pub metric_timings: bool,
-    /// Record causal token provenance (the first-acquisition forest;
-    /// see [`ocd_core::provenance`]) into a [`ProvenanceTrace`] on the
-    /// outcome. Fully deterministic: equal-seed runs produce
-    /// byte-identical trace artifacts. Off by default — the disabled
-    /// path monomorphizes over [`NoopProvenance`] and costs nothing.
-    pub provenance: bool,
 }
 
 impl Default for SimConfig {
@@ -67,9 +44,6 @@ impl Default for SimConfig {
         SimConfig {
             max_steps: 10_000,
             knowledge_delay: 0,
-            metrics: false,
-            metric_timings: false,
-            provenance: false,
         }
     }
 }
@@ -163,22 +137,21 @@ pub struct SimOutcome {
     /// Token-moves rejected by admission control, per step; empty
     /// unless the medium [records it](Medium::records_rejections).
     pub rejected_per_step: Vec<u64>,
-    /// Metrics snapshot of the run; `None` unless
-    /// [`SimConfig::metrics`] was set.
-    pub metrics: Option<MetricsSnapshot>,
-    /// Causal token-provenance trace of the run; `None` unless
-    /// [`SimConfig::provenance`] was set. Identical to the trace
-    /// [`ProvenanceTrace::from_schedule`] derives from the outcome's
-    /// schedule — the live hook just avoids the replay.
-    pub provenance: Option<ProvenanceTrace>,
 }
 
 impl SimOutcome {
+    /// Total token-moves rejected by admission control.
+    #[must_use]
+    pub fn total_rejected(&self) -> u64 {
+        self.rejected_per_step.iter().sum()
+    }
+
     /// Builds the shared [`RunRecord`] artifact: the instance, the
-    /// schedule, every recorded metric, and the medium extras, in the
-    /// JSON schema every layer of the suite emits and consumes.
+    /// schedule, the per-step trace, and the medium extras, in the JSON
+    /// schema every layer of the suite emits and consumes.
     /// [`RunRecord::certify`] can re-validate the run from the artifact
-    /// alone.
+    /// alone. The record's `metrics` and `provenance` are `None`; a
+    /// caller that observed the run fills them from its own sinks.
     #[must_use]
     pub fn to_record(
         &self,
@@ -213,8 +186,8 @@ impl SimOutcome {
                 .collect(),
             capacity_trace: self.capacity_trace.clone(),
             rejected_per_step: self.rejected_per_step.clone(),
-            metrics: self.metrics.clone(),
-            provenance: self.provenance.as_ref().map(ProvenanceTrace::to_record),
+            metrics: None,
+            provenance: None,
         }
     }
 }
@@ -236,7 +209,24 @@ pub fn simulate(
     simulate_with(instance, strategy, &mut Ideal, config, rng).report
 }
 
-/// The one step loop: runs `strategy` on `instance` over `medium`.
+/// Runs `strategy` on `instance` over `medium`, unobserved:
+/// [`simulate_with_observed`] with the no-op `()` observer.
+///
+/// # Panics
+///
+/// As [`simulate_with_observed`].
+pub fn simulate_with<M: Medium>(
+    instance: &Instance,
+    strategy: &mut dyn Strategy,
+    medium: &mut M,
+    config: &SimConfig,
+    rng: &mut dyn RngCore,
+) -> SimOutcome {
+    simulate_with_observed(instance, strategy, medium, config, rng, &mut ())
+}
+
+/// The one step loop: runs `strategy` on `instance` over `medium`,
+/// reporting to `obs`.
 ///
 /// Each step the engine:
 ///
@@ -258,174 +248,41 @@ pub fn simulate(
 /// as a stall if the medium says [stalls abort](Medium::stall_aborts)
 /// and the strategy does not claim the right to idle.
 ///
-/// When [`SimConfig::metrics`] is set the run additionally produces a
-/// [`MetricsSnapshot`] (`engine.*` metrics: headline counters, per-step
-/// move histogram, per-arc utilization series, instance-shape gauges;
-/// phase-timing histograms too under [`SimConfig::metric_timings`]).
-/// When [`SimConfig::provenance`] is set it also produces a
-/// [`ProvenanceTrace`] of first acquisitions. When unset, the loop
-/// monomorphizes over [`NoopRecorder`] / [`NoopProvenance`] and the
+/// What `obs` sees:
+///
+/// - metrics: the `engine.*` headline counters, the per-step move
+///   histogram, per-arc and per-vertex utilization series, and
+///   instance-shape gauges;
+/// - provenance: the first acquisition of every `(vertex, token)` pair,
+///   identical to [`ProvenanceTrace::from_schedule`] on the outcome's
+///   schedule;
+/// - spans: `engine.step` ⊃ `engine.plan` / `engine.admit` /
+///   `engine.apply` per step, carrying `moves` / `rejected` /
+///   `remaining_need` counters, plus `engine.vertex_complete` events.
+///
+/// Everything recorded is a deterministic function of the run, so
+/// equal seeds give byte-identical metrics snapshots, provenance
+/// exports and [`FlightRecorder::logical`] span exports; a
+/// [`FlightRecorder::wall`] adds wall-clock span durations instead.
+/// Observing never touches the RNG stream. With `()` the
 /// instrumentation compiles away.
+///
+/// [`ProvenanceTrace::from_schedule`]: ocd_core::ProvenanceTrace::from_schedule
+/// [`FlightRecorder::logical`]: ocd_core::FlightRecorder::logical
+/// [`FlightRecorder::wall`]: ocd_core::FlightRecorder::wall
 ///
 /// # Panics
 ///
 /// Panics if the strategy violates capacity or possession, sends on a
 /// non-existent arc, or duplicates an arc within a step; also on a
 /// medium that produces a malformed capacity vector.
-pub fn simulate_with<M: Medium>(
+pub fn simulate_with_observed<M: Medium, O: Observer>(
     instance: &Instance,
     strategy: &mut dyn Strategy,
     medium: &mut M,
     config: &SimConfig,
     rng: &mut dyn RngCore,
-) -> SimOutcome {
-    if config.metrics && config.metric_timings {
-        // Wall-clock flight recording: the per-phase spans are the
-        // timing source, folded into the phase histograms afterwards.
-        let mut spans = FlightRecorder::wall();
-        let mut registry = MetricsRegistry::new();
-        let mut outcome = if config.provenance {
-            let mut prov =
-                ProvenanceTrace::new(instance.graph().node_count(), instance.num_tokens());
-            let mut outcome = run_loop(
-                instance,
-                strategy,
-                medium,
-                config,
-                rng,
-                &mut registry,
-                &mut prov,
-                &mut spans,
-            );
-            outcome.provenance = Some(prov);
-            outcome
-        } else {
-            run_loop(
-                instance,
-                strategy,
-                medium,
-                config,
-                rng,
-                &mut registry,
-                &mut NoopProvenance,
-                &mut spans,
-            )
-        };
-        debug_assert!(spans.is_balanced());
-        let m_plan = registry.histogram("engine.plan_nanos");
-        let m_admit = registry.histogram("engine.admit_nanos");
-        let m_apply = registry.histogram("engine.apply_nanos");
-        for span in spans.spans() {
-            match span.name {
-                "engine.plan" => registry.observe(m_plan, span.wall_ns),
-                "engine.admit" => registry.observe(m_admit, span.wall_ns),
-                "engine.apply" => registry.observe(m_apply, span.wall_ns),
-                _ => {}
-            }
-        }
-        outcome.metrics = Some(registry.snapshot());
-        outcome
-    } else {
-        simulate_with_spans(instance, strategy, medium, config, rng, &mut NoopSpans)
-    }
-}
-
-/// [`simulate_with`], recording the step loop's phase spans
-/// (`engine.step` ⊃ `engine.plan` / `engine.admit` / `engine.apply`,
-/// plus `engine.vertex_complete` events) into a caller-supplied
-/// [`SpanRecorder`].
-///
-/// Span counters are deterministic quantities (moves admitted,
-/// remaining need), so a [`FlightRecorder::logical`] recorder produces
-/// byte-identical artifacts across equal-seed runs. Pass
-/// [`FlightRecorder::wall`] for wall-clock span durations instead.
-/// [`SimConfig::metric_timings`] is ignored on this path — the spans
-/// *are* the timing mechanism.
-pub fn simulate_with_spans<M: Medium, S: SpanRecorder>(
-    instance: &Instance,
-    strategy: &mut dyn Strategy,
-    medium: &mut M,
-    config: &SimConfig,
-    rng: &mut dyn RngCore,
-    spans: &mut S,
-) -> SimOutcome {
-    let new_trace = || ProvenanceTrace::new(instance.graph().node_count(), instance.num_tokens());
-    match (config.metrics, config.provenance) {
-        (true, true) => {
-            let mut registry = MetricsRegistry::new();
-            let mut prov = new_trace();
-            let mut outcome = run_loop(
-                instance,
-                strategy,
-                medium,
-                config,
-                rng,
-                &mut registry,
-                &mut prov,
-                spans,
-            );
-            outcome.metrics = Some(registry.snapshot());
-            outcome.provenance = Some(prov);
-            outcome
-        }
-        (true, false) => {
-            let mut registry = MetricsRegistry::new();
-            let mut outcome = run_loop(
-                instance,
-                strategy,
-                medium,
-                config,
-                rng,
-                &mut registry,
-                &mut NoopProvenance,
-                spans,
-            );
-            outcome.metrics = Some(registry.snapshot());
-            outcome
-        }
-        (false, true) => {
-            let mut prov = new_trace();
-            let mut outcome = run_loop(
-                instance,
-                strategy,
-                medium,
-                config,
-                rng,
-                &mut NoopRecorder,
-                &mut prov,
-                spans,
-            );
-            outcome.provenance = Some(prov);
-            outcome
-        }
-        (false, false) => run_loop(
-            instance,
-            strategy,
-            medium,
-            config,
-            rng,
-            &mut NoopRecorder,
-            &mut NoopProvenance,
-            spans,
-        ),
-    }
-}
-
-/// The monomorphized loop body behind [`simulate_with`]: `R` is either
-/// the live [`MetricsRegistry`] or [`NoopRecorder`], `P` either the
-/// live [`ProvenanceTrace`] or [`NoopProvenance`], and `S` either a
-/// live [`FlightRecorder`] or [`NoopSpans`] (whose inlined no-ops make
-/// the disabled paths identical to the uninstrumented loop).
-#[allow(clippy::too_many_arguments)]
-fn run_loop<M: Medium, R: Recorder, P: ProvenanceHook, S: SpanRecorder>(
-    instance: &Instance,
-    strategy: &mut dyn Strategy,
-    medium: &mut M,
-    config: &SimConfig,
-    rng: &mut dyn RngCore,
-    rec: &mut R,
-    prov: &mut P,
-    spans: &mut S,
+    obs: &mut O,
 ) -> SimOutcome {
     let run_start = Instant::now();
     let g = instance.graph();
@@ -437,29 +294,22 @@ fn run_loop<M: Medium, R: Recorder, P: ProvenanceHook, S: SpanRecorder>(
     let record_rejections = medium.records_rejections();
     let stall_aborts = medium.stall_aborts();
 
-    // Metric handles are interned once here; on the Noop path every
-    // call below is an inlined empty body.
-    let m_steps = rec.counter("engine.steps");
-    let m_moves = rec.counter("engine.moves");
-    let m_dups = rec.counter("engine.duplicate_deliveries");
-    let m_rejected = rec.counter("engine.rejected_moves");
-    let m_step_moves = rec.histogram("engine.step_moves");
-    // The phase-timing histograms are interned unconditionally so the
-    // snapshot shape is stable; they are only *populated* (from the
-    // wall-clock phase spans) on the `metric_timings` path in
-    // `simulate_with`.
-    let _ = rec.histogram("engine.plan_nanos");
-    let _ = rec.histogram("engine.admit_nanos");
-    let _ = rec.histogram("engine.apply_nanos");
-    let m_arc_tokens = rec.series("engine.arc_tokens", g.edge_count());
-    let m_vertex_uplink = rec.series("engine.vertex_uplink_tokens", n);
-    let g_vertices = rec.gauge("engine.vertices");
-    let g_arcs = rec.gauge("engine.arcs");
-    let g_tokens = rec.gauge("engine.tokens");
-    let g_remaining = rec.gauge("engine.remaining_need");
-    rec.set(g_vertices, n as i64);
-    rec.set(g_arcs, g.edge_count() as i64);
-    rec.set(g_tokens, m as i64);
+    // Metric handles are interned once here; under `()` every call
+    // below is an inlined empty body.
+    let m_steps = obs.counter("engine.steps");
+    let m_moves = obs.counter("engine.moves");
+    let m_dups = obs.counter("engine.duplicate_deliveries");
+    let m_rejected = obs.counter("engine.rejected_moves");
+    let m_step_moves = obs.histogram("engine.step_moves");
+    let m_arc_tokens = obs.series("engine.arc_tokens", g.edge_count());
+    let m_vertex_uplink = obs.series("engine.vertex_uplink_tokens", n);
+    let g_vertices = obs.gauge("engine.vertices");
+    let g_arcs = obs.gauge("engine.arcs");
+    let g_tokens = obs.gauge("engine.tokens");
+    let g_remaining = obs.gauge("engine.remaining_need");
+    obs.set(g_vertices, n as i64);
+    obs.set(g_arcs, g.edge_count() as i64);
+    obs.set(g_tokens, m as i64);
 
     let mut possession: Vec<TokenSet> = instance.have_all().to_vec();
     let mut schedule = Schedule::new();
@@ -500,8 +350,8 @@ fn run_loop<M: Medium, R: Recorder, P: ProvenanceHook, S: SpanRecorder>(
     let mut success = remaining == 0;
     while !success && step < config.max_steps {
         let step_start = Instant::now();
-        let step_span = spans.open("engine.step");
-        let plan_span = spans.open("engine.plan");
+        let step_span = obs.open("engine.step");
+        let plan_span = obs.open("engine.plan");
         let visible: &AggregateKnowledge = match delayed.as_mut() {
             Some(d) => d.advance_from(&fresh),
             None => &fresh,
@@ -555,21 +405,21 @@ fn run_loop<M: Medium, R: Recorder, P: ProvenanceHook, S: SpanRecorder>(
         if record_capacity_trace {
             capacity_trace.push(caps.to_vec());
         }
-        spans.close(plan_span);
-        let admit_span = spans.open("engine.admit");
+        obs.close(plan_span);
+        let admit_span = obs.open("engine.admit");
         let rejected = medium.admit(&mut sends);
         let timestep = Timestep::from_sends(sends);
         let moves = timestep.bandwidth();
-        spans.close(admit_span);
+        obs.close(admit_span);
         if moves == 0 && rejected == 0 && stall_aborts && !strategy.may_idle(step) {
-            spans.close(step_span);
+            obs.close(step_span);
             break; // stall
         }
         if record_rejections {
             rejected_per_step.push(rejected);
         }
-        rec.add(m_rejected, rejected);
-        let apply_span = spans.open("engine.apply");
+        obs.add(m_rejected, rejected);
+        let apply_span = obs.open("engine.apply");
         // Apply: receipts land after all sends are read (store &
         // forward; validation above used the pre-step possession). Each
         // send's *newly received* tokens — `delta` — are the only
@@ -577,35 +427,35 @@ fn run_loop<M: Medium, R: Recorder, P: ProvenanceHook, S: SpanRecorder>(
         for (edge, tokens) in timestep.sends() {
             let arc = g.edge(edge);
             let dst = arc.dst;
-            rec.series_add(m_arc_tokens, edge.index(), tokens.len() as u64);
-            rec.series_add(m_vertex_uplink, arc.src.index(), tokens.len() as u64);
+            obs.series_add(m_arc_tokens, edge.index(), tokens.len() as u64);
+            obs.series_add(m_vertex_uplink, arc.src.index(), tokens.len() as u64);
             delta.copy_from(tokens);
             delta.subtract(&possession[dst.index()]);
-            rec.add(m_dups, (tokens.len() - delta.len()) as u64);
+            obs.add(m_dups, (tokens.len() - delta.len()) as u64);
             duplicate_deliveries += (tokens.len() - delta.len()) as u64;
             if delta.is_empty() {
                 continue;
             }
             possession[dst.index()].union_with(&delta);
-            prov.record_delivery(step as u64, edge, arc.src, dst, &delta);
+            obs.record_delivery(step as u64, edge, arc.src, dst, &delta);
             let satisfied = fresh.apply_delivery(&delta, instance.want(dst));
             remaining -= satisfied;
             let missing_dst = &mut missing[dst.index()];
             *missing_dst -= satisfied as usize;
             if *missing_dst == 0 && completion_steps[dst.index()].is_none() {
                 completion_steps[dst.index()] = Some(step + 1);
-                spans.event("engine.vertex_complete", dst.index() as u64);
+                obs.event("engine.vertex_complete", dst.index() as u64);
             }
         }
         schedule.push_timestep(timestep);
-        spans.close(apply_span);
-        spans.attach(step_span, "moves", moves);
-        spans.attach(step_span, "rejected", rejected);
-        spans.attach(step_span, "remaining_need", remaining);
-        spans.close(step_span);
-        rec.add(m_steps, 1);
-        rec.add(m_moves, moves);
-        rec.observe(m_step_moves, moves);
+        obs.close(apply_span);
+        obs.attach(step_span, "moves", moves);
+        obs.attach(step_span, "rejected", rejected);
+        obs.attach(step_span, "remaining_need", remaining);
+        obs.close(step_span);
+        obs.add(m_steps, 1);
+        obs.add(m_moves, moves);
+        obs.observe(m_step_moves, moves);
         step += 1;
         trace.push(StepRecord {
             step: step - 1,
@@ -615,7 +465,7 @@ fn run_loop<M: Medium, R: Recorder, P: ProvenanceHook, S: SpanRecorder>(
         });
         success = remaining == 0;
     }
-    rec.set(g_remaining, remaining as i64);
+    obs.set(g_remaining, remaining as i64);
 
     debug_assert_eq!(
         fresh,
@@ -637,8 +487,6 @@ fn run_loop<M: Medium, R: Recorder, P: ProvenanceHook, S: SpanRecorder>(
         },
         capacity_trace,
         rejected_per_step,
-        metrics: None,
-        provenance: None,
     }
 }
 
@@ -657,6 +505,7 @@ mod tests {
     use crate::{KnowledgeTier, Strategy};
     use ocd_core::scenario::single_file;
     use ocd_core::validate;
+    use ocd_core::{FlightRecorder, MetricsRegistry, ProvenanceTrace};
     use ocd_graph::generate::classic;
     use ocd_graph::EdgeId;
     use rand::prelude::*;
@@ -817,22 +666,46 @@ mod tests {
         assert!(report.mean_step_nanos().is_some());
     }
 
+    /// The composed observer the determinism tests compare against
+    /// each sink alone.
+    fn all_sinks(instance: &Instance) -> (MetricsRegistry, ProvenanceTrace, FlightRecorder) {
+        (
+            MetricsRegistry::new(),
+            ProvenanceTrace::new(instance.graph().node_count(), instance.num_tokens()),
+            FlightRecorder::logical(),
+        )
+    }
+
+    /// One seeded Random run on `instance`, observed by `obs`; returns
+    /// the outcome and the next RNG draw (a fingerprint of the stream).
+    fn observed_run<O: Observer>(instance: &Instance, seed: u64, obs: &mut O) -> (SimOutcome, u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut strategy = crate::StrategyKind::Random.build();
+        let outcome = simulate_with_observed(
+            instance,
+            strategy.as_mut(),
+            &mut crate::medium::Ideal,
+            &SimConfig::default(),
+            &mut rng,
+            obs,
+        );
+        (outcome, rng.next_u64())
+    }
+
     #[test]
     fn metrics_snapshot_matches_report() {
         let instance = single_file(classic::cycle(5, 3, true), 6, 0);
-        let config = SimConfig {
-            metrics: true,
-            ..Default::default()
-        };
         let mut rng = StdRng::seed_from_u64(21);
-        let outcome = simulate_with(
+        let mut registry = MetricsRegistry::new();
+        let outcome = simulate_with_observed(
             &instance,
             &mut Flood,
             &mut crate::medium::Ideal,
-            &config,
+            &SimConfig::default(),
             &mut rng,
+            &mut registry,
         );
-        let snap = outcome.metrics.as_ref().expect("metrics enabled");
+        let snap = registry.snapshot();
         assert_eq!(
             snap.counter("engine.steps"),
             Some(outcome.report.steps as u64)
@@ -868,13 +741,15 @@ mod tests {
         let hist = snap.histogram("engine.step_moves").expect("move histogram");
         assert_eq!(hist.count, outcome.report.steps as u64);
         assert_eq!(hist.sum, outcome.report.bandwidth);
-        // Timings were not requested: histograms exist but stay empty,
-        // keeping the snapshot deterministic.
-        assert_eq!(snap.histogram("engine.plan_nanos").unwrap().count, 0);
+        // No wall-clock metric is ever recorded, so the snapshot stays
+        // deterministic.
+        assert!(snap.histograms.iter().all(|h| !h.name.ends_with("_nanos")));
         // Embedding survives the record round trip.
-        let record = outcome.to_record(&instance, "flood", "ideal", 21);
+        let mut record = outcome.to_record(&instance, "flood", "ideal", 21);
+        record.metrics = Some(snap.clone());
         record.certify().unwrap();
-        assert_eq!(record.metrics.as_ref(), Some(snap));
+        let back = ocd_core::RunRecord::from_json(&record.to_json().unwrap()).unwrap();
+        assert_eq!(back.metrics, Some(snap));
     }
 
     #[test]
@@ -888,61 +763,21 @@ mod tests {
             &SimConfig::default(),
             &mut rng,
         );
-        assert!(outcome.metrics.is_none());
         let record = outcome.to_record(&instance, "flood", "ideal", 22);
+        assert!(record.metrics.is_none());
+        assert!(record.provenance.is_none());
         record.certify().unwrap();
     }
 
     #[test]
     fn same_seed_snapshots_are_byte_identical() {
         let instance = single_file(classic::cycle(6, 2, true), 8, 0);
-        let config = SimConfig {
-            metrics: true,
-            ..Default::default()
-        };
         let run = || {
-            let mut rng = StdRng::seed_from_u64(33);
-            let mut strategy = crate::StrategyKind::Random.build();
-            simulate_with(
-                &instance,
-                strategy.as_mut(),
-                &mut crate::medium::Ideal,
-                &config,
-                &mut rng,
-            )
-            .metrics
-            .unwrap()
-            .to_json()
+            let mut registry = MetricsRegistry::new();
+            observed_run(&instance, 33, &mut registry);
+            registry.snapshot().to_json()
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn metric_timings_populate_phase_histograms() {
-        let instance = single_file(classic::cycle(5, 3, true), 6, 0);
-        let config = SimConfig {
-            metrics: true,
-            metric_timings: true,
-            ..Default::default()
-        };
-        let mut rng = StdRng::seed_from_u64(23);
-        let outcome = simulate_with(
-            &instance,
-            &mut Flood,
-            &mut crate::medium::Ideal,
-            &config,
-            &mut rng,
-        );
-        let snap = outcome.metrics.unwrap();
-        let steps = outcome.report.steps as u64;
-        for name in [
-            "engine.plan_nanos",
-            "engine.admit_nanos",
-            "engine.apply_nanos",
-        ] {
-            let h = snap.histogram(name).unwrap();
-            assert_eq!(h.count, steps, "{name} observed once per step");
-        }
     }
 
     #[test]
@@ -950,7 +785,7 @@ mod tests {
         let instance = single_file(classic::cycle(5, 3, true), 6, 0);
         let mut rng = StdRng::seed_from_u64(24);
         let mut spans = FlightRecorder::logical();
-        let outcome = simulate_with_spans(
+        let outcome = simulate_with_observed(
             &instance,
             &mut Flood,
             &mut crate::medium::Ideal,
@@ -1003,25 +838,42 @@ mod tests {
     #[test]
     fn same_seed_span_artifacts_are_byte_identical() {
         let instance = single_file(classic::cycle(6, 2, true), 8, 0);
-        let run = || {
-            let mut rng = StdRng::seed_from_u64(25);
-            let mut strategy = crate::StrategyKind::Random.build();
-            let mut spans = FlightRecorder::logical();
-            simulate_with_spans(
-                &instance,
-                strategy.as_mut(),
-                &mut crate::medium::Ideal,
-                &SimConfig::default(),
-                &mut rng,
-                &mut spans,
-            );
+        let exports = |spans: &FlightRecorder| {
             (
                 spans.to_chrome_json("engine"),
                 spans.to_json(),
                 spans.to_csv(),
             )
         };
+        let run = || {
+            let mut spans = FlightRecorder::logical();
+            observed_run(&instance, 25, &mut spans);
+            exports(&spans)
+        };
         assert_eq!(run(), run());
+
+        // Composed with the other two sinks, every sink exports exactly
+        // what it exports alone, and the run itself is untouched.
+        let (plain, plain_next) = observed_run(&instance, 25, &mut ());
+        let mut all = all_sinks(&instance);
+        let (observed, observed_next) = observed_run(&instance, 25, &mut all);
+        assert_eq!(observed.report.schedule, plain.report.schedule);
+        assert_eq!(
+            observed.report.completion_steps,
+            plain.report.completion_steps
+        );
+        assert_eq!(observed_next, plain_next, "RNG stream unchanged");
+        assert_eq!(exports(&all.2), run());
+        let mut registry = MetricsRegistry::new();
+        observed_run(&instance, 25, &mut registry);
+        assert_eq!(all.0.snapshot().to_json(), registry.snapshot().to_json());
+        let mut trace = ProvenanceTrace::new(instance.num_vertices(), instance.num_tokens());
+        observed_run(&instance, 25, &mut trace);
+        assert_eq!(all.1.to_json(), trace.to_json());
+        assert_eq!(
+            all.1.to_chrome_json(&instance),
+            trace.to_chrome_json(&instance)
+        );
     }
 
     #[test]
@@ -1029,7 +881,7 @@ mod tests {
         let instance = single_file(classic::path(3, 1, true), 2, 0);
         let mut rng = StdRng::seed_from_u64(26);
         let mut spans = FlightRecorder::logical();
-        let outcome = simulate_with_spans(
+        let outcome = simulate_with_observed(
             &instance,
             &mut Lazy,
             &mut crate::medium::Ideal,
@@ -1045,47 +897,49 @@ mod tests {
     #[test]
     fn provenance_trace_matches_schedule_derivation() {
         let instance = single_file(classic::cycle(6, 2, true), 8, 0);
-        let config = SimConfig {
-            provenance: true,
-            ..Default::default()
-        };
-        let mut rng = StdRng::seed_from_u64(41);
-        let mut strategy = crate::StrategyKind::Random.build();
-        let outcome = simulate_with(
-            &instance,
-            strategy.as_mut(),
-            &mut crate::medium::Ideal,
-            &config,
-            &mut rng,
-        );
-        let live = outcome.provenance.as_ref().expect("provenance enabled");
+        let mut live = ProvenanceTrace::new(instance.num_vertices(), instance.num_tokens());
+        let (outcome, next) = observed_run(&instance, 41, &mut live);
         let derived = ProvenanceTrace::from_schedule(&instance, &outcome.report.schedule);
         assert_eq!(
-            *live, derived,
-            "live hook and schedule replay must agree exactly"
+            live, derived,
+            "live recording and schedule replay must agree exactly"
         );
         // Every unsatisfied (vertex, token) need that got satisfied has
         // a recorded parent delivery.
         assert!(outcome.report.success);
         assert!(live.critical_path(&instance).is_some());
+        // The composed observer records the same trace, and the run
+        // (schedule and RNG stream) is the unobserved one.
+        let (plain, plain_next) = observed_run(&instance, 41, &mut ());
+        let mut all = all_sinks(&instance);
+        let (composed, composed_next) = observed_run(&instance, 41, &mut all);
+        assert_eq!(all.1, derived);
+        assert_eq!(composed.report.schedule, plain.report.schedule);
+        assert_eq!(outcome.report.schedule, plain.report.schedule);
+        assert_eq!((next, composed_next), (plain_next, plain_next));
         // Embedding survives the record round trip and certifies.
-        let record = outcome.to_record(&instance, "random", "ideal", 41);
+        let mut record = outcome.to_record(&instance, "random", "ideal", 41);
+        record.provenance = Some(live.to_record());
         record.certify().unwrap();
-        assert_eq!(record.provenance.as_ref(), Some(&live.to_record()));
     }
 
     #[test]
     fn provenance_disabled_yields_none() {
         let instance = single_file(classic::cycle(5, 3, true), 6, 0);
         let mut rng = StdRng::seed_from_u64(42);
-        let outcome = simulate_with(
+        let mut registry = MetricsRegistry::new();
+        let mut spans = FlightRecorder::logical();
+        // Sinks without a provenance trace leave nothing to embed.
+        let mut pair = (&mut registry, &mut spans);
+        assert!(pair.provenance().is_none());
+        let outcome = simulate_with_observed(
             &instance,
             &mut Flood,
             &mut crate::medium::Ideal,
             &SimConfig::default(),
             &mut rng,
+            &mut pair,
         );
-        assert!(outcome.provenance.is_none());
         let record = outcome.to_record(&instance, "flood", "ideal", 42);
         assert!(record.provenance.is_none());
         record.certify().unwrap();
@@ -1094,21 +948,9 @@ mod tests {
     #[test]
     fn same_seed_provenance_artifacts_are_byte_identical() {
         let instance = single_file(classic::cycle(6, 2, true), 8, 0);
-        let config = SimConfig {
-            provenance: true,
-            ..Default::default()
-        };
         let run = || {
-            let mut rng = StdRng::seed_from_u64(43);
-            let mut strategy = crate::StrategyKind::Random.build();
-            let outcome = simulate_with(
-                &instance,
-                strategy.as_mut(),
-                &mut crate::medium::Ideal,
-                &config,
-                &mut rng,
-            );
-            let trace = outcome.provenance.unwrap();
+            let mut trace = ProvenanceTrace::new(instance.num_vertices(), instance.num_tokens());
+            observed_run(&instance, 43, &mut trace);
             (
                 trace.to_json(),
                 trace.to_csv(),
@@ -1151,20 +993,23 @@ mod tests {
     fn to_record_certifies_for_every_extras_combination() {
         let instance = single_file(classic::cycle(5, 3, true), 6, 0);
         for (metrics, provenance) in [(false, false), (true, false), (false, true), (true, true)] {
-            let config = SimConfig {
-                metrics,
-                provenance,
-                ..Default::default()
-            };
+            let mut sinks = (
+                metrics.then(MetricsRegistry::new),
+                provenance
+                    .then(|| ProvenanceTrace::new(instance.num_vertices(), instance.num_tokens())),
+            );
             let mut rng = StdRng::seed_from_u64(46);
-            let outcome = simulate_with(
+            let outcome = simulate_with_observed(
                 &instance,
                 &mut Flood,
                 &mut crate::medium::Ideal,
-                &config,
+                &SimConfig::default(),
                 &mut rng,
+                &mut sinks,
             );
-            let record = outcome.to_record(&instance, "flood", "ideal", 46);
+            let mut record = outcome.to_record(&instance, "flood", "ideal", 46);
+            record.metrics = sinks.0.map(|r| r.snapshot());
+            record.provenance = sinks.1.map(|t| t.to_record());
             assert_eq!(record.metrics.is_some(), metrics);
             assert_eq!(record.provenance.is_some(), provenance);
             record.certify().unwrap();

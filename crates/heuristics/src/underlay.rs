@@ -2,43 +2,24 @@
 //! topologies").
 //!
 //! Overlay links that share a physical link do not have independent
-//! capacities. [`simulate_underlay`] runs a strategy through the
-//! ordinary engine loop ([`crate::simulate_with`]) under the
-//! [`PhysicalUnderlay`] medium: each physical arc has its capacity as
+//! capacities. Running a strategy through the ordinary engine loop
+//! ([`crate::simulate_with`]) under the [`PhysicalUnderlay`] medium
+//! models that: the strategy plans against the overlay's own (naive)
+//! capacities, each physical arc has its capacity as
 //! a per-step budget, and a token is admitted on an overlay arc only if
 //! every physical arc on that overlay arc's path still has budget.
 //! Admission is round-robin across overlay arcs (one token per arc per
-//! round) so no overlay link starves.
+//! round) so no overlay link starves, and the recorded schedule is
+//! valid for the overlay instance *and* physically realizable.
 //!
 //! The interesting output is the *inflation* of completion time over
 //! the pure-overlay model — how optimistic the independence assumption
 //! was (see the `table_underlay` experiment).
 
-use crate::engine::{simulate_with, SimConfig, SimReport};
 use crate::medium::{Medium, PhysicalUnderlay};
-use crate::Strategy;
-use ocd_core::{Instance, TokenSet};
+use ocd_core::TokenSet;
 use ocd_graph::underlay::OverlayMapping;
 use ocd_graph::{DiGraph, EdgeId};
-use rand::RngCore;
-
-/// Result of a physically-constrained run.
-#[derive(Debug, Clone)]
-pub struct UnderlayReport {
-    /// The usual metrics; the schedule holds the *admitted* sends.
-    pub report: SimReport,
-    /// Tokens proposed by the strategy but rejected by admission
-    /// control, per step.
-    pub rejected_per_step: Vec<u64>,
-}
-
-impl UnderlayReport {
-    /// Total rejected (overlay-proposed, physically inadmissible) moves.
-    #[must_use]
-    pub fn total_rejected(&self) -> u64 {
-        self.rejected_per_step.iter().sum()
-    }
-}
 
 /// Clips one proposed timestep to physical feasibility. Returns the
 /// admitted sends and the number of rejected token-moves.
@@ -57,37 +38,13 @@ pub fn admit_physical(
     (admitted, rejected)
 }
 
-/// Runs `strategy` with physical admission control. The strategy plans
-/// against the overlay's own (naive) capacities; admission then clips
-/// to physical feasibility, so the recorded schedule is valid for the
-/// overlay instance *and* physically realizable.
-///
-/// # Panics
-///
-/// Panics on strategy contract violations (as [`crate::simulate`]) or a
-/// mapping whose path list does not cover the overlay's arcs.
-pub fn simulate_underlay(
-    instance: &Instance,
-    strategy: &mut dyn Strategy,
-    physical: &DiGraph,
-    mapping: &OverlayMapping,
-    config: &SimConfig,
-    rng: &mut dyn RngCore,
-) -> UnderlayReport {
-    let mut medium = PhysicalUnderlay::new(physical, mapping);
-    let outcome = simulate_with(instance, strategy, &mut medium, config, rng);
-    UnderlayReport {
-        report: outcome.report,
-        rejected_per_step: outcome.rejected_per_step,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{simulate, StrategyKind};
+    use crate::{simulate, simulate_with, SimConfig, StrategyKind};
     use ocd_core::scenario::single_file;
     use ocd_core::validate;
+    use ocd_core::Instance;
     use ocd_core::Token;
     use ocd_graph::generate::classic;
     use ocd_graph::underlay::Underlay;
@@ -146,11 +103,10 @@ mod tests {
         let run_physical = || {
             let mut s = StrategyKind::Global.build();
             let mut rng = StdRng::seed_from_u64(3);
-            simulate_underlay(
+            simulate_with(
                 &instance,
                 s.as_mut(),
-                &physical,
-                &mapping,
+                &mut PhysicalUnderlay::new(&physical, &mapping),
                 &SimConfig::default(),
                 &mut rng,
             )
@@ -184,11 +140,10 @@ mod tests {
         let pure = simulate(&instance, s1.as_mut(), &SimConfig::default(), &mut rng1);
         let mut s2 = StrategyKind::Local.build();
         let mut rng2 = StdRng::seed_from_u64(9);
-        let constrained = simulate_underlay(
+        let constrained = simulate_with(
             &instance,
             s2.as_mut(),
-            &overlay,
-            &mapping,
+            &mut PhysicalUnderlay::new(&overlay, &mapping),
             &SimConfig::default(),
             &mut rng2,
         );

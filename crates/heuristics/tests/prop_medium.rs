@@ -12,7 +12,7 @@
 use ocd_core::scenario::single_file;
 use ocd_graph::underlay::Underlay;
 use ocd_graph::NodeId;
-use ocd_heuristics::{simulate, simulate_underlay, SimConfig, StrategyKind};
+use ocd_heuristics::{simulate, simulate_with, PhysicalUnderlay, SimConfig, StrategyKind};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -51,11 +51,10 @@ proptest! {
         let constrained = {
             let mut strategy = kind.build();
             let mut run_rng = StdRng::seed_from_u64(seed ^ 0xDEAD);
-            simulate_underlay(
+            simulate_with(
                 &instance,
                 strategy.as_mut(),
-                &topology,
-                &mapping,
+                &mut PhysicalUnderlay::new(&topology, &mapping),
                 &config,
                 &mut run_rng,
             )

@@ -30,7 +30,7 @@
 
 use crate::model::{LpError, Problem, Sense, VarId, VarKind};
 use crate::sparse::{solve_standard, Basis, LpStats, StandardForm};
-use ocd_core::span::{NoopSpans, SpanRecorder};
+use ocd_core::Observer;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
@@ -180,12 +180,8 @@ fn bound_millis(x: f64) -> u64 {
     (x.max(0.0) * 1000.0).round() as u64
 }
 
-pub(crate) fn solve_mip(problem: &Problem, options: &MipOptions) -> Result<MipSolution, LpError> {
-    solve_mip_with_spans(problem, options, &mut NoopSpans)
-}
-
-/// [`solve_mip`] with a [`SpanRecorder`] attached — the solver's search
-/// telemetry. Each parallel round opens a `bnb.round` span (counter:
+/// Branch-and-bound over the LP relaxation, reporting the search
+/// telemetry to `obs`. Each parallel round opens a `bnb.round` span (counter:
 /// `width`); every node evaluated inside it closes a zero-width span
 /// named for its fate — `bnb.node.branched`, `bnb.node.pruned`,
 /// `bnb.node.incumbent`, or `bnb.node.infeasible` — carrying `id`,
@@ -193,10 +189,10 @@ pub(crate) fn solve_mip(problem: &Problem, options: &MipOptions) -> Result<MipSo
 /// improvements additionally fire a `bnb.incumbent` event stream. Spans
 /// are recorded in the deterministic sequential-apply order, so the
 /// stream is byte-identical across thread counts and equal seeds.
-pub(crate) fn solve_mip_with_spans<S: SpanRecorder>(
+pub(crate) fn solve_mip_observed<O: Observer>(
     problem: &Problem,
     options: &MipOptions,
-    spans: &mut S,
+    obs: &mut O,
 ) -> Result<MipSolution, LpError> {
     // Normalize to minimization internally: for maximization we compare
     // on `sign * objective`.
@@ -276,11 +272,11 @@ pub(crate) fn solve_mip_with_spans<S: SpanRecorder>(
         if round.is_empty() {
             break;
         }
-        let round_span = spans.open("bnb.round");
-        spans.attach(round_span, "width", round.len() as u64);
+        let round_span = obs.open("bnb.round");
+        obs.attach(round_span, "width", round.len() as u64);
         nodes_explored += round.len();
         if nodes_explored > options.node_limit {
-            spans.close(round_span);
+            obs.close(round_span);
             return Err(LpError::NodeLimit);
         }
 
@@ -322,14 +318,14 @@ pub(crate) fn solve_mip_with_spans<S: SpanRecorder>(
             let (values, basis, stats) = match result {
                 Ok(r) => r,
                 Err(LpError::Infeasible) => {
-                    let s = spans.open("bnb.node.infeasible");
-                    spans.attach(s, "id", node.id);
-                    spans.attach(s, "depth", node.depth as u64);
-                    spans.close(s);
+                    let s = obs.open("bnb.node.infeasible");
+                    obs.attach(s, "id", node.id);
+                    obs.attach(s, "depth", node.depth as u64);
+                    obs.close(s);
                     continue;
                 }
                 Err(e) => {
-                    spans.close(round_span);
+                    obs.close(round_span);
                     return Err(e);
                 }
             };
@@ -341,16 +337,16 @@ pub(crate) fn solve_mip_with_spans<S: SpanRecorder>(
                 .map(|(v, x)| v.objective * x)
                 .sum();
             let cost = sign * objective;
-            let node_span = |spans: &mut S, name: &'static str| {
-                let s = spans.open(name);
-                spans.attach(s, "id", node.id);
-                spans.attach(s, "depth", node.depth as u64);
-                spans.attach(s, "lp_iterations", stats.iterations);
-                spans.attach(s, "bound_millis", bound_millis(cost));
-                spans.close(s);
+            let node_span = |obs: &mut O, name: &'static str| {
+                let s = obs.open(name);
+                obs.attach(s, "id", node.id);
+                obs.attach(s, "depth", node.depth as u64);
+                obs.attach(s, "lp_iterations", stats.iterations);
+                obs.attach(s, "bound_millis", bound_millis(cost));
+                obs.close(s);
             };
             if cost > incumbent_cost - options.absolute_gap {
-                node_span(spans, "bnb.node.pruned");
+                node_span(obs, "bnb.node.pruned");
                 continue; // dominated
             }
             // Find the most fractional integer variable.
@@ -370,8 +366,8 @@ pub(crate) fn solve_mip_with_spans<S: SpanRecorder>(
                     incumbent_cost = cost;
                     incumbent_trace.push((node.id, objective));
                     incumbent = Some(values);
-                    node_span(spans, "bnb.node.incumbent");
-                    spans.event("bnb.incumbent", bound_millis(objective));
+                    node_span(obs, "bnb.node.incumbent");
+                    obs.event("bnb.incumbent", bound_millis(objective));
                 }
                 Some(j) => {
                     let floor = values[j].floor();
@@ -402,11 +398,11 @@ pub(crate) fn solve_mip_with_spans<S: SpanRecorder>(
                         bound_heap.push(down);
                         bound_heap.push(up);
                     }
-                    node_span(spans, "bnb.node.branched");
+                    node_span(obs, "bnb.node.branched");
                 }
             }
         }
-        spans.close(round_span);
+        obs.close(round_span);
     }
 
     match incumbent {
@@ -646,7 +642,7 @@ mod tests {
         let profile = |threads: usize| {
             let mut spans = ocd_core::FlightRecorder::logical();
             let s = p
-                .solve_mip_with_spans(
+                .solve_mip_observed(
                     &MipOptions {
                         threads,
                         ..Default::default()

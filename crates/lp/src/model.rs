@@ -384,12 +384,12 @@ impl Problem {
     /// [`LpError::NodeLimit`] if optimality was not proven within the
     /// node budget.
     pub fn solve_mip(&self, options: &crate::MipOptions) -> Result<crate::MipSolution, LpError> {
-        crate::branch::solve_mip(self, options)
+        crate::branch::solve_mip_observed(self, options, &mut ())
     }
 
-    /// [`solve_mip`](Problem::solve_mip) with a
-    /// [`SpanRecorder`](ocd_core::span::SpanRecorder) attached: every
-    /// branch-and-bound round and node lands in the recorder as a span
+    /// [`solve_mip`](Problem::solve_mip), reporting to an
+    /// [`Observer`](ocd_core::Observer): every branch-and-bound round
+    /// and node lands in its span sink as a span
     /// (`bnb.round`, `bnb.node.{branched,pruned,incumbent,infeasible}`
     /// with `id`/`depth`/`lp_iterations`/`bound_millis` counters), and
     /// incumbent improvements fire `bnb.incumbent` events — a search
@@ -398,12 +398,12 @@ impl Problem {
     /// # Errors
     ///
     /// Same contract as [`solve_mip`](Problem::solve_mip).
-    pub fn solve_mip_with_spans<S: ocd_core::span::SpanRecorder>(
+    pub fn solve_mip_observed<O: ocd_core::Observer>(
         &self,
         options: &crate::MipOptions,
-        spans: &mut S,
+        obs: &mut O,
     ) -> Result<crate::MipSolution, LpError> {
-        crate::branch::solve_mip_with_spans(self, options, spans)
+        crate::branch::solve_mip_observed(self, options, obs)
     }
 
     /// Renders the model in (a subset of) the CPLEX LP text format,

@@ -33,7 +33,7 @@
 
 use crate::config::{NetConfig, NetPolicy};
 use ocd_core::rlnc::{CodedBasis, CodedPacket, RlncInstance};
-use ocd_core::span::{NoopSpans, SpanRecorder};
+use ocd_core::Observer;
 use ocd_graph::EdgeId;
 use rand::{Rng, RngCore};
 use std::collections::BTreeMap;
@@ -119,8 +119,7 @@ impl CodedNetReport {
     #[must_use]
     pub fn metrics_snapshot(&self) -> ocd_core::MetricsSnapshot {
         use crate::msg::MsgKind;
-        use ocd_core::{MetricsRegistry, Recorder};
-        let mut reg = MetricsRegistry::new();
+        let mut reg = ocd_core::MetricsRegistry::new();
         for (name, value) in [
             ("coded.ticks", self.ticks),
             ("coded.packets_sent", self.packets_sent),
@@ -216,22 +215,23 @@ pub fn run_coded_swarm(
     redundancy: f64,
     rng: &mut dyn RngCore,
 ) -> CodedNetReport {
-    run_coded_swarm_with_spans(instance, config, redundancy, rng, &mut NoopSpans)
+    run_coded_swarm_observed(instance, config, redundancy, rng, &mut ())
 }
 
-/// [`run_coded_swarm`] with a [`SpanRecorder`] attached: every tick
-/// opens a `coded.tick` span with one child per phase
-/// (`coded.deliver_data`, `coded.deliver_ctrl`,
-/// `coded.receiver_decisions`, `coded.sender_decisions`,
-/// `coded.beacons`), carrying `sent` / `innovative` counters. The span
-/// stream is a pure function of the run state, so equal seeds give
-/// byte-identical logical exports.
-pub fn run_coded_swarm_with_spans<S: SpanRecorder>(
+/// [`run_coded_swarm`], reporting spans to `obs`: every tick opens a
+/// `coded.tick` span with one child per phase (`coded.deliver_data`,
+/// `coded.deliver_ctrl`, `coded.receiver_decisions`,
+/// `coded.sender_decisions`, `coded.beacons`), carrying `sent` /
+/// `innovative` counters, plus a `coded.rank_complete` event per
+/// finished receiver. The span stream is a pure function of the run
+/// state, so equal seeds give byte-identical logical exports, and
+/// observing never touches the RNG stream.
+pub fn run_coded_swarm_observed<O: Observer>(
     instance: &RlncInstance,
     config: &NetConfig,
     redundancy: f64,
     rng: &mut dyn RngCore,
-    spans: &mut S,
+    obs: &mut O,
 ) -> CodedNetReport {
     config.validate().expect("invalid net config");
     assert!(redundancy >= 1.0, "redundancy is a multiplier ≥ 1");
@@ -288,11 +288,11 @@ pub fn run_coded_swarm_with_spans<S: SpanRecorder>(
             break;
         }
         let mut activity = false;
-        let tick_span = spans.open("coded.tick");
+        let tick_span = obs.open("coded.tick");
         let (sent_before, innovative_before) = (report.packets_sent, report.innovative_deliveries);
 
         // Phase 1: data delivery (send order within the tick).
-        let phase = spans.open("coded.deliver_data");
+        let phase = obs.open("coded.deliver_data");
         while let Some((&key, _)) = data_cal.range((now, 0)..=(now, u64::MAX)).next() {
             let msg = data_cal.remove(&key).expect("keyed entry");
             let arc = g.edge(msg.edge);
@@ -317,17 +317,17 @@ pub fn run_coded_swarm_with_spans<S: SpanRecorder>(
                 report.link_counters[msg.edge.index()].innovative += 1;
                 if bases[dst].is_complete() && completion[dst].is_none() {
                     completion[dst] = Some(now);
-                    spans.event("coded.rank_complete", dst as u64);
+                    obs.event("coded.rank_complete", dst as u64);
                 }
             } else {
                 report.redundant_deliveries += 1;
                 report.link_counters[msg.edge.index()].redundant += 1;
             }
         }
-        spans.close(phase);
+        obs.close(phase);
 
         // Phase 2: control delivery.
-        let phase = spans.open("coded.deliver_ctrl");
+        let phase = obs.open("coded.deliver_ctrl");
         while let Some((&key, _)) = ctrl_cal.range((now, 0)..=(now, u64::MAX)).next() {
             let msg = ctrl_cal.remove(&key).expect("keyed entry");
             activity = true;
@@ -341,12 +341,12 @@ pub fn run_coded_swarm_with_spans<S: SpanRecorder>(
                 }
             }
         }
-        spans.close(phase);
+        obs.close(phase);
 
         // Phase 3: receiver decisions (pull mode): expire stale
         // credits, then spread the uncovered deficit over useful
         // in-arcs, least-granted first.
-        let phase = spans.open("coded.receiver_decisions");
+        let phase = obs.open("coded.receiver_decisions");
         if pull {
             for v in g.nodes() {
                 let vi = v.index();
@@ -415,7 +415,7 @@ pub fn run_coded_swarm_with_spans<S: SpanRecorder>(
             }
         }
 
-        spans.close(phase);
+        obs.close(phase);
 
         // Phase 4: sender decisions, ascending arc id. Every packet is
         // a fresh random combination of the sender's current basis.
@@ -424,7 +424,7 @@ pub fn run_coded_swarm_with_spans<S: SpanRecorder>(
         // it), so parallel senders do not each re-cover the full
         // deficit — the coded analogue of the uncoded runtime's
         // cross-arc `Cancel` dedup.
-        let phase = spans.open("coded.sender_decisions");
+        let phase = obs.open("coded.sender_decisions");
         let mut claimed = vec![0u32; n];
         let in_flight_to: Vec<u32> = if pull {
             Vec::new()
@@ -487,7 +487,7 @@ pub fn run_coded_swarm_with_spans<S: SpanRecorder>(
             }
         }
 
-        spans.close(phase);
+        obs.close(phase);
 
         // Phase 5: belief beacons. A rank is a single integer, so —
         // unlike the uncoded runtime's possession bitmaps — every
@@ -495,7 +495,7 @@ pub fn run_coded_swarm_with_spans<S: SpanRecorder>(
         // real RLNC transports). A lost beacon leaves a sender
         // over-pushing for one tick, not until the next bitmap
         // refresh.
-        let phase = spans.open("coded.beacons");
+        let phase = obs.open("coded.beacons");
         for v in g.nodes() {
             let vi = v.index();
             let rank = bases[vi].rank();
@@ -531,15 +531,15 @@ pub fn run_coded_swarm_with_spans<S: SpanRecorder>(
             }
         }
 
-        spans.close(phase);
+        obs.close(phase);
 
-        spans.attach(tick_span, "sent", report.packets_sent - sent_before);
-        spans.attach(
+        obs.attach(tick_span, "sent", report.packets_sent - sent_before);
+        obs.attach(
             tick_span,
             "innovative",
             report.innovative_deliveries - innovative_before,
         );
-        spans.close(tick_span);
+        obs.close(tick_span);
 
         now += 1;
         report.ticks = now;
@@ -696,7 +696,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mut spans = ocd_core::FlightRecorder::logical();
         let report =
-            run_coded_swarm_with_spans(&inst, &NetConfig::default(), 1.0, &mut rng, &mut spans);
+            run_coded_swarm_observed(&inst, &NetConfig::default(), 1.0, &mut rng, &mut spans);
         assert!(report.success);
         assert!(spans.is_balanced());
         let ticks = spans.count("coded.tick");
@@ -748,13 +748,34 @@ mod tests {
             latency: 3,
             ..NetConfig::default()
         };
-        let export = || {
+        // One seeded run plus the next RNG draw (a stream fingerprint).
+        fn observed<O: Observer>(
+            inst: &RlncInstance,
+            config: &NetConfig,
+            obs: &mut O,
+        ) -> (CodedNetReport, u64) {
             let mut rng = StdRng::seed_from_u64(41);
+            let report = run_coded_swarm_observed(inst, config, 1.25, &mut rng, obs);
+            (report, rng.next_u64())
+        }
+        let export = || {
             let mut spans = ocd_core::FlightRecorder::logical();
-            run_coded_swarm_with_spans(&inst, &config, 1.25, &mut rng, &mut spans);
+            observed(&inst, &config, &mut spans);
             spans.to_chrome_json("coded")
         };
         assert_eq!(export(), export());
+        // Composed with the other sinks: the span export is the lone
+        // recorder's, and the run and RNG stream are the unobserved
+        // swarm's.
+        let mut all = (
+            ocd_core::MetricsRegistry::new(),
+            ocd_core::ProvenanceTrace::new(inst.graph().node_count(), inst.generation()),
+            ocd_core::FlightRecorder::logical(),
+        );
+        let composed = observed(&inst, &config, &mut all);
+        assert_eq!(composed, observed(&inst, &config, &mut ()));
+        assert_eq!(all.2.to_chrome_json("coded"), export());
+        assert!(all.0.snapshot().is_empty() && all.1.is_empty());
     }
 
     #[test]

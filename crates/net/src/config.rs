@@ -106,12 +106,6 @@ pub struct NetConfig {
     /// Capacity of the ring-buffered event log (oldest events are
     /// overwritten once full).
     pub trace_capacity: usize,
-    /// Record causal token provenance (the first-acquisition forest;
-    /// see [`ocd_core::provenance`]) onto the report. Data messages
-    /// carry their departure tick, so provenance survives loss, crash
-    /// drops, and retransmission: only the delivery that is actually
-    /// *applied* becomes a parent. Off by default.
-    pub record_provenance: bool,
     /// Per-vertex uplink budgets enforced at sender-decision time: a
     /// vertex transmits at most its uplink worth of tokens per tick,
     /// shared across all of its out-arcs (downlinks are not metered by
@@ -135,7 +129,6 @@ impl Default for NetConfig {
             have_refresh: 10,
             max_ticks: 100_000,
             trace_capacity: 1 << 16,
-            record_provenance: false,
             node_budgets: None,
         }
     }

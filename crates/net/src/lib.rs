@@ -69,11 +69,11 @@ pub mod msg;
 pub mod runtime;
 pub mod trace;
 
-pub use coded::{run_coded_swarm, run_coded_swarm_with_spans, CodedLinkCounters, CodedNetReport};
+pub use coded::{run_coded_swarm, run_coded_swarm_observed, CodedLinkCounters, CodedNetReport};
 pub use config::{NetConfig, NetPolicy};
 pub use fault::{FaultEvent, FaultPlan};
 pub use msg::{CtrlMsg, CtrlPayload, DataMsg, MsgKind};
-pub use runtime::{run_swarm, run_swarm_with_spans, NetReport};
+pub use runtime::{run_swarm, run_swarm_observed, NetReport};
 pub use trace::{
     CompletionHistogram, EventKind, EventTrace, LinkCounters, TraceEvent, VertexCounters,
 };

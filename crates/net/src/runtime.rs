@@ -48,9 +48,7 @@ use crate::trace::{
     CompletionHistogram, EventKind, EventTrace, LinkCounters, TraceEvent, VertexCounters, NO_FIELD,
 };
 use ocd_core::knowledge::AggregateKnowledge;
-use ocd_core::provenance::{ProvenanceHook, ProvenanceTrace};
-use ocd_core::span::{NoopSpans, SpanRecorder};
-use ocd_core::{Instance, NodeBudgets, Schedule, ScheduleRecorder, Token, TokenSet};
+use ocd_core::{Instance, NodeBudgets, Observer, Schedule, ScheduleRecorder, Token, TokenSet};
 use ocd_graph::{EdgeId, NodeId};
 use ocd_heuristics::policy::{
     deterministic_rarest_fill, random_fill, rarest_flood_fill, subdivide_requests,
@@ -92,15 +90,6 @@ pub struct NetReport {
     pub link_counters: Vec<LinkCounters>,
     /// The ring-buffered event log.
     pub trace: EventTrace,
-    /// Causal token-provenance trace; `None` unless
-    /// [`NetConfig::record_provenance`] was set. Acquisition steps are
-    /// the *departure* ticks of the delivering messages, so in ideal
-    /// mode the trace equals the one
-    /// [`ProvenanceTrace::from_schedule`] derives from the extracted
-    /// schedule; under jitter the applied-delivery order may differ
-    /// from the departure order, and the runtime-recorded trace is the
-    /// causal truth.
-    pub provenance: Option<ProvenanceTrace>,
 }
 
 impl NetReport {
@@ -144,8 +133,7 @@ impl NetReport {
     /// equal-seed runs snapshot byte-identically.
     #[must_use]
     pub fn metrics_snapshot(&self) -> ocd_core::MetricsSnapshot {
-        use ocd_core::{MetricsRegistry, Recorder};
-        let mut reg = MetricsRegistry::new();
+        let mut reg = ocd_core::MetricsRegistry::new();
         for (name, value) in [
             ("net.ticks", self.ticks),
             ("net.tokens_delivered", self.tokens_delivered),
@@ -248,7 +236,6 @@ struct Runtime<'a> {
     tokens_delivered: u64,
     tokens_lost: u64,
     tokens_dropped_crashed: u64,
-    provenance: Option<ProvenanceTrace>,
 }
 
 /// Runs the asynchronous swarm on `instance` under `config` and the
@@ -261,21 +248,34 @@ pub fn run_swarm(
     faults: &FaultPlan,
     rng: &mut dyn RngCore,
 ) -> NetReport {
-    run_swarm_with_spans(instance, config, faults, rng, &mut NoopSpans)
+    run_swarm_observed(instance, config, faults, rng, &mut ())
 }
 
-/// [`run_swarm`] with a [`SpanRecorder`] attached: every simulated tick
-/// opens a `net.tick` span with one child per phase (`net.faults`,
-/// `net.deliver_data`, `net.deliver_ctrl`, `net.decide`,
-/// `net.refresh_haves`), carrying `sent` / `remaining` counters. The
-/// span stream is a pure function of the run state, so equal seeds give
-/// byte-identical logical exports.
-pub fn run_swarm_with_spans<S: SpanRecorder>(
+/// [`run_swarm`], reporting to `obs`.
+///
+/// - Spans: every simulated tick opens a `net.tick` span with one child
+///   per phase (`net.faults`, `net.deliver_data`, `net.deliver_ctrl`,
+///   `net.decide`, `net.refresh_haves`), carrying `sent` / `remaining`
+///   counters.
+/// - Provenance (size the trace `vertices × tokens`): the first-
+///   acquisition forest. Data messages carry their departure tick, so
+///   provenance survives loss, crash drops and retransmission: only
+///   the delivery that is actually *applied* becomes a parent, stamped
+///   with its departure tick. In ideal mode the trace equals the one
+///   [`ProvenanceTrace::from_schedule`](ocd_core::ProvenanceTrace::from_schedule)
+///   derives from the extracted schedule; under jitter the applied
+///   order may differ from the departure order, and the recorded trace
+///   is the causal truth.
+///
+/// Both streams are pure functions of the run state, so equal seeds
+/// give byte-identical logical exports, and observing never touches
+/// the RNG stream.
+pub fn run_swarm_observed<O: Observer>(
     instance: &Instance,
     config: &NetConfig,
     faults: &FaultPlan,
     rng: &mut dyn RngCore,
-    spans: &mut S,
+    obs: &mut O,
 ) -> NetReport {
     config.validate().expect("invalid net config");
     let g = instance.graph();
@@ -345,17 +345,16 @@ pub fn run_swarm_with_spans<S: SpanRecorder>(
         tokens_delivered: 0,
         tokens_lost: 0,
         tokens_dropped_crashed: 0,
-        provenance: config.record_provenance.then(|| ProvenanceTrace::new(n, m)),
     };
-    rt.run(faults, rng, spans)
+    rt.run(faults, rng, obs)
 }
 
 impl Runtime<'_> {
-    fn run<S: SpanRecorder>(
+    fn run<O: Observer>(
         &mut self,
         faults: &FaultPlan,
         rng: &mut dyn RngCore,
-        spans: &mut S,
+        obs: &mut O,
     ) -> NetReport {
         let mut success = self.remaining == 0;
         let mut now: u64 = 0;
@@ -366,32 +365,32 @@ impl Runtime<'_> {
             }
         }
         while !success && now < self.config.max_ticks {
-            let tick_span = spans.open("net.tick");
-            let phase = spans.open("net.faults");
+            let tick_span = obs.open("net.tick");
+            let phase = obs.open("net.faults");
             self.apply_faults(faults, now, rng);
-            spans.close(phase);
-            let phase = spans.open("net.deliver_data");
-            self.deliver_data(now, rng);
-            spans.close(phase);
-            let phase = spans.open("net.deliver_ctrl");
+            obs.close(phase);
+            let phase = obs.open("net.deliver_data");
+            self.deliver_data(now, rng, obs);
+            obs.close(phase);
+            let phase = obs.open("net.deliver_ctrl");
             self.deliver_ctrl(now, rng);
-            spans.close(phase);
+            obs.close(phase);
             if self.remaining == 0 {
                 success = true;
-                spans.attach(tick_span, "sent", 0);
-                spans.attach(tick_span, "remaining", 0);
-                spans.close(tick_span);
+                obs.attach(tick_span, "sent", 0);
+                obs.attach(tick_span, "remaining", 0);
+                obs.close(tick_span);
                 break;
             }
-            let phase = spans.open("net.decide");
+            let phase = obs.open("net.decide");
             let sent = self.decide(now, rng);
-            spans.close(phase);
-            let phase = spans.open("net.refresh_haves");
+            obs.close(phase);
+            let phase = obs.open("net.refresh_haves");
             self.refresh_haves(now, rng);
-            spans.close(phase);
-            spans.attach(tick_span, "sent", sent);
-            spans.attach(tick_span, "remaining", self.remaining);
-            spans.close(tick_span);
+            obs.close(phase);
+            obs.attach(tick_span, "sent", sent);
+            obs.attach(tick_span, "remaining", self.remaining);
+            obs.close(tick_span);
             if sent == 0 && self.quiescent(faults, now) {
                 break; // nothing in flight, queued, pending, or scripted
             }
@@ -425,7 +424,6 @@ impl Runtime<'_> {
             vertex_counters: std::mem::take(&mut self.vcount),
             link_counters: std::mem::take(&mut self.lcount),
             trace: std::mem::replace(&mut self.trace, EventTrace::new(1)),
-            provenance: self.provenance.take(),
         }
     }
 
@@ -503,7 +501,7 @@ impl Runtime<'_> {
 
     // ---------- phase 2: data delivery ----------
 
-    fn deliver_data(&mut self, now: u64, rng: &mut dyn RngCore) {
+    fn deliver_data<O: Observer>(&mut self, now: u64, rng: &mut dyn RngCore, obs: &mut O) {
         let Some(batch) = self.data_cal.remove(&now) else {
             return;
         };
@@ -559,9 +557,7 @@ impl Runtime<'_> {
                 // provenance step, so the parent edge survives loss,
                 // crash drops, and retransmission: only the applied
                 // delivery gets here.
-                if let Some(prov) = &mut self.provenance {
-                    prov.record_delivery(msg.sent_at, msg.edge, arc.src, dst, &new);
-                }
+                obs.record_delivery(msg.sent_at, msg.edge, arc.src, dst, &new);
                 let satisfied = self
                     .aggregates
                     .apply_delivery(&new, self.instance.want(dst));
@@ -970,6 +966,7 @@ mod tests {
     use super::*;
     use ocd_core::scenario::single_file;
     use ocd_core::validate;
+    use ocd_core::{FlightRecorder, MetricsRegistry, ProvenanceTrace};
     use ocd_graph::generate::classic;
     use rand::prelude::*;
 
@@ -977,6 +974,29 @@ mod tests {
         let instance = single_file(classic::cycle(6, 2, true), 8, 0);
         let mut rng = StdRng::seed_from_u64(seed);
         run_swarm(&instance, config, &FaultPlan::none(), &mut rng)
+    }
+
+    /// One seeded run observed by `obs`; returns the report and the
+    /// next RNG draw (a fingerprint of the stream).
+    fn observed<O: Observer>(
+        instance: &Instance,
+        config: &NetConfig,
+        faults: &FaultPlan,
+        seed: u64,
+        obs: &mut O,
+    ) -> (NetReport, u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let report = run_swarm_observed(instance, config, faults, &mut rng, obs);
+        (report, rng.next_u64())
+    }
+
+    /// Every sink at once, as the composition tests use it.
+    fn all_sinks(instance: &Instance) -> (MetricsRegistry, ProvenanceTrace, FlightRecorder) {
+        (
+            MetricsRegistry::new(),
+            ProvenanceTrace::new(instance.num_vertices(), instance.num_tokens()),
+            FlightRecorder::logical(),
+        )
     }
 
     #[test]
@@ -1226,27 +1246,28 @@ mod tests {
     }
 
     #[test]
-    fn provenance_disabled_by_default() {
-        let report = run(&NetConfig::default(), 7);
-        assert!(report.provenance.is_none());
-    }
-
-    #[test]
     fn ideal_provenance_matches_schedule_derivation() {
         // In ideal mode (latency 1, no jitter/loss) delivery order is
         // departure order, so the live trace must equal the one derived
         // by replaying the extracted schedule.
-        let config = NetConfig {
-            record_provenance: true,
-            ..NetConfig::default()
-        };
-        let report = run(&config, 7);
-        assert!(report.success);
-        let live = report.provenance.as_ref().expect("provenance enabled");
         let instance = single_file(classic::cycle(6, 2, true), 8, 0);
+        let config = NetConfig::default();
+        let none = FaultPlan::none();
+        let mut live = ProvenanceTrace::new(instance.num_vertices(), instance.num_tokens());
+        let (report, next) = observed(&instance, &config, &none, 7, &mut live);
+        assert!(report.success);
         let derived = ProvenanceTrace::from_schedule(&instance, &report.schedule);
-        assert_eq!(*live, derived);
+        assert_eq!(live, derived);
         assert!(live.critical_path(&instance).is_some());
+        // Composed with the other sinks: the same trace, and the run
+        // and RNG stream of the unobserved swarm.
+        let (plain, plain_next) = observed(&instance, &config, &none, 7, &mut ());
+        let mut all = all_sinks(&instance);
+        let (composed, composed_next) = observed(&instance, &config, &none, 7, &mut all);
+        assert_eq!(all.1, derived);
+        assert_eq!(composed.schedule, plain.schedule);
+        assert_eq!(report.schedule, plain.schedule);
+        assert_eq!((next, composed_next), (plain_next, plain_next));
     }
 
     #[test]
@@ -1259,16 +1280,15 @@ mod tests {
             jitter: 1,
             loss: 0.2,
             have_refresh: 4,
-            record_provenance: true,
             ..NetConfig::default()
         };
         let run_once = || {
-            let mut rng = StdRng::seed_from_u64(9);
-            run_swarm(&instance, &config, &faults, &mut rng)
+            let mut trace = ProvenanceTrace::new(instance.num_vertices(), instance.num_tokens());
+            let (report, _) = observed(&instance, &config, &faults, 9, &mut trace);
+            (report, trace)
         };
-        let report = run_once();
+        let (report, live) = run_once();
         assert!(report.success, "ARQ recovers despite loss and a crash");
-        let live = report.provenance.as_ref().unwrap();
         // Every vertex's satisfied wants trace back to a recorded
         // parent (or a seed), even though some deliveries were lost or
         // dropped at the crashed vertex: only applied deliveries are
@@ -1282,8 +1302,7 @@ mod tests {
             }
         }
         // Same seed ⇒ byte-identical artifacts in every export format.
-        let again = run_once();
-        let other = again.provenance.as_ref().unwrap();
+        let (_, other) = run_once();
         assert_eq!(live.to_json(), other.to_json());
         assert_eq!(live.to_csv(), other.to_csv());
         assert_eq!(
@@ -1319,8 +1338,8 @@ mod tests {
     fn spans_cover_every_tick_with_all_phases() {
         let instance = single_file(classic::cycle(6, 2, true), 8, 0);
         let mut rng = StdRng::seed_from_u64(7);
-        let mut spans = ocd_core::FlightRecorder::logical();
-        let report = run_swarm_with_spans(
+        let mut spans = FlightRecorder::logical();
+        let report = run_swarm_observed(
             &instance,
             &NetConfig::default(),
             &FaultPlan::none(),
@@ -1365,15 +1384,23 @@ mod tests {
             loss: 0.1,
             ..NetConfig::default()
         };
-        let mut rng = StdRng::seed_from_u64(13);
-        let plain = run_swarm(&instance, &config, &FaultPlan::none(), &mut rng);
-        let mut rng = StdRng::seed_from_u64(13);
-        let mut spans = ocd_core::FlightRecorder::logical();
-        let instrumented =
-            run_swarm_with_spans(&instance, &config, &FaultPlan::none(), &mut rng, &mut spans);
-        assert_eq!(plain.schedule, instrumented.schedule);
-        assert_eq!(plain.ticks, instrumented.ticks);
-        assert_eq!(plain.messages_sent, instrumented.messages_sent);
+        let none = FaultPlan::none();
+        let (plain, plain_next) = observed(&instance, &config, &none, 13, &mut ());
+        let spans_only = observed(
+            &instance,
+            &config,
+            &none,
+            13,
+            &mut FlightRecorder::logical(),
+        );
+        let composed = observed(&instance, &config, &none, 13, &mut all_sinks(&instance));
+        for (instrumented, next) in [spans_only, composed] {
+            assert_eq!(plain.schedule, instrumented.schedule);
+            assert_eq!(plain.ticks, instrumented.ticks);
+            assert_eq!(plain.messages_sent, instrumented.messages_sent);
+            assert_eq!(plain.completion_ticks, instrumented.completion_ticks);
+            assert_eq!(plain_next, next, "RNG stream unchanged");
+        }
     }
 
     #[test]
@@ -1385,12 +1412,23 @@ mod tests {
             latency: 2,
             ..NetConfig::default()
         };
+        let none = FaultPlan::none();
         let export = || {
-            let mut rng = StdRng::seed_from_u64(99);
-            let mut spans = ocd_core::FlightRecorder::logical();
-            run_swarm_with_spans(&instance, &config, &FaultPlan::none(), &mut rng, &mut spans);
+            let mut spans = FlightRecorder::logical();
+            observed(&instance, &config, &none, 99, &mut spans);
             spans.to_chrome_json("net")
         };
         assert_eq!(export(), export());
+        // Each sink of a composed observer exports exactly what it
+        // exports alone.
+        let mut all = all_sinks(&instance);
+        observed(&instance, &config, &none, 99, &mut all);
+        assert_eq!(all.2.to_chrome_json("net"), export());
+        let mut trace = ProvenanceTrace::new(instance.num_vertices(), instance.num_tokens());
+        observed(&instance, &config, &none, 99, &mut trace);
+        assert_eq!(all.1.to_json(), trace.to_json());
+        assert_eq!(all.1.to_csv(), trace.to_csv());
+        // The swarm books no metrics of its own while running.
+        assert!(all.0.snapshot().is_empty());
     }
 }

@@ -18,7 +18,7 @@
 
 use crate::SolveError;
 use ocd_core::bounds::remaining_makespan;
-use ocd_core::span::{NoopSpans, SpanRecorder};
+use ocd_core::Observer;
 use ocd_core::{Instance, Schedule, Timestep, Token, TokenSet};
 use ocd_graph::EdgeId;
 use std::collections::HashMap;
@@ -84,10 +84,10 @@ pub fn decide_focd(
 /// [`SolveError::HorizonExceeded`] past `options.max_makespan`,
 /// [`SolveError::NodeLimit`] if the budget runs out.
 pub fn solve_focd(instance: &Instance, options: &BnbOptions) -> Result<BnbResult, SolveError> {
-    solve_focd_with_spans(instance, options, &mut NoopSpans)
+    solve_focd_observed(instance, options, &mut ())
 }
 
-/// [`solve_focd`] with a [`SpanRecorder`] attached: every
+/// [`solve_focd`], reporting spans to an [`Observer`]: every
 /// iterative-deepening horizon attempt lands as a
 /// `solver.focd.horizon` span carrying `tau` and `nodes` (branches
 /// explored at that horizon) counters — the search timeline of the
@@ -97,10 +97,10 @@ pub fn solve_focd(instance: &Instance, options: &BnbOptions) -> Result<BnbResult
 /// # Errors
 ///
 /// Same contract as [`solve_focd`].
-pub fn solve_focd_with_spans<S: SpanRecorder>(
+pub fn solve_focd_observed<O: Observer>(
     instance: &Instance,
     options: &BnbOptions,
-    spans: &mut S,
+    obs: &mut O,
 ) -> Result<BnbResult, SolveError> {
     if !instance.is_satisfiable() {
         return Err(SolveError::Unsatisfiable);
@@ -111,14 +111,14 @@ pub fn solve_focd_with_spans<S: SpanRecorder>(
     }
     let mut total_nodes = 0u64;
     for tau in lower..=options.max_makespan {
-        let span = spans.open("solver.focd.horizon");
-        spans.attach(span, "tau", tau as u64);
+        let span = obs.open("solver.focd.horizon");
+        obs.attach(span, "tau", tau as u64);
         let mut search = Search::new(instance, options.node_limit.saturating_sub(total_nodes));
         let mut possession = instance.have_all().to_vec();
         let found = search.dfs(&mut possession, tau);
         total_nodes += search.nodes;
-        spans.attach(span, "nodes", search.nodes);
-        spans.close(span);
+        obs.attach(span, "nodes", search.nodes);
+        obs.close(span);
         match found {
             Ok(Some(steps)) => {
                 let mut schedule = Schedule::new();

@@ -35,7 +35,7 @@
 #![allow(clippy::needless_range_loop)]
 
 use crate::SolveError;
-use ocd_core::span::{NoopSpans, SpanRecorder};
+use ocd_core::Observer;
 use ocd_core::{Instance, NodeBudgets, Schedule, Token, TokenSet};
 use ocd_lp::{ConId, LpError, MipOptions, Problem, Relation, Sense, VarId, VarKind};
 
@@ -273,30 +273,30 @@ pub fn min_bandwidth_for_horizon(
     horizon: usize,
     options: &MipOptions,
 ) -> Result<Option<IpResult>, SolveError> {
-    min_bandwidth_for_horizon_with_spans(instance, horizon, options, &mut NoopSpans)
+    min_bandwidth_for_horizon_observed(instance, horizon, options, &mut ())
 }
 
-/// [`min_bandwidth_for_horizon`] with a [`SpanRecorder`] attached: the
+/// [`min_bandwidth_for_horizon`], reporting spans to an [`Observer`]: the
 /// solve lands as a `solver.ip.horizon` span (counter: `tau`) wrapping
 /// the MILP's `bnb.*` search-telemetry spans.
 ///
 /// # Errors
 ///
 /// Same contract as [`min_bandwidth_for_horizon`].
-pub fn min_bandwidth_for_horizon_with_spans<S: SpanRecorder>(
+pub fn min_bandwidth_for_horizon_observed<O: Observer>(
     instance: &Instance,
     horizon: usize,
     options: &MipOptions,
-    spans: &mut S,
+    obs: &mut O,
 ) -> Result<Option<IpResult>, SolveError> {
     let Some(IpModel { problem, moves }) = build_ip(instance, horizon) else {
         return Ok(None);
     };
 
-    let span = spans.open("solver.ip.horizon");
-    spans.attach(span, "tau", horizon as u64);
-    let solved = problem.solve_mip_with_spans(options, spans);
-    spans.close(span);
+    let span = obs.open("solver.ip.horizon");
+    obs.attach(span, "tau", horizon as u64);
+    let solved = problem.solve_mip_observed(options, obs);
+    obs.close(span);
     match solved {
         Ok(sol) => {
             let schedule = decode_schedule(instance, horizon, &moves, &sol);
@@ -436,10 +436,10 @@ pub fn makespan_via_ip(
     max_horizon: usize,
     options: &MipOptions,
 ) -> Result<MakespanOutcome, SolveError> {
-    makespan_via_ip_with_spans(instance, max_horizon, options, &mut NoopSpans)
+    makespan_via_ip_observed(instance, max_horizon, options, &mut ())
 }
 
-/// [`makespan_via_ip`] with a [`SpanRecorder`] attached: every horizon
+/// [`makespan_via_ip`], reporting spans to an [`Observer`]: every horizon
 /// attempt lands as a `solver.ip.horizon` span (counter: `tau`)
 /// wrapping the MILP's `bnb.*` search-telemetry spans; horizons the LP
 /// relaxation refutes close without children.
@@ -447,11 +447,11 @@ pub fn makespan_via_ip(
 /// # Errors
 ///
 /// Same contract as [`makespan_via_ip`].
-pub fn makespan_via_ip_with_spans<S: SpanRecorder>(
+pub fn makespan_via_ip_observed<O: Observer>(
     instance: &Instance,
     max_horizon: usize,
     options: &MipOptions,
-    spans: &mut S,
+    obs: &mut O,
 ) -> Result<MakespanOutcome, SolveError> {
     let lb = ocd_core::bounds::makespan_lower_bound(instance)
         .max(ocd_core::bounds::counting_makespan_lower_bound(instance));
@@ -465,24 +465,24 @@ pub fn makespan_via_ip_with_spans<S: SpanRecorder>(
             infeasible_horizons += 1;
             continue;
         };
-        let span = spans.open("solver.ip.horizon");
-        spans.attach(span, "tau", tau as u64);
+        let span = obs.open("solver.ip.horizon");
+        obs.attach(span, "tau", tau as u64);
         // LP-relaxation prefilter: most short horizons die here, without
         // branching.
         match model.problem.solve_lp() {
             Ok(_) => {}
             Err(LpError::Infeasible) => {
                 infeasible_horizons += 1;
-                spans.close(span);
+                obs.close(span);
                 continue;
             }
             Err(e) => {
-                spans.close(span);
+                obs.close(span);
                 return Err(SolveError::Mip(e.to_string()));
             }
         }
-        let solved = model.problem.solve_mip_with_spans(options, spans);
-        spans.close(span);
+        let solved = model.problem.solve_mip_observed(options, obs);
+        obs.close(span);
         match solved {
             Ok(sol) => {
                 let schedule = decode_schedule(instance, tau, &model.moves, &sol);

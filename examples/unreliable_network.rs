@@ -13,7 +13,7 @@ use ocd::graph::generate::{paper_random, transit_stub, TransitStubConfig};
 use ocd::graph::underlay::Underlay;
 use ocd::graph::NodeId;
 use ocd::heuristics::dynamics::{Churn, LinkOutages, StaticNetwork};
-use ocd::heuristics::{simulate_dynamic, simulate_underlay, NetworkDynamics};
+use ocd::heuristics::{simulate_with, Dynamic, NetworkDynamics, PhysicalUnderlay};
 use ocd::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -49,10 +49,10 @@ fn main() {
             max_steps: 5_000,
             ..Default::default()
         };
-        let outcome = simulate_dynamic(
+        let outcome = simulate_with(
             &instance,
             strategy.as_mut(),
-            model.as_mut(),
+            &mut Dynamic::new(model.as_mut()),
             &config,
             &mut run_rng,
         );
@@ -94,11 +94,10 @@ fn main() {
     );
     let mut s2 = StrategyKind::Global.build();
     let mut rng2 = StdRng::seed_from_u64(9);
-    let real = simulate_underlay(
+    let real = simulate_with(
         &phys_instance,
         s2.as_mut(),
-        &physical,
-        &mapping,
+        &mut PhysicalUnderlay::new(&physical, &mapping),
         &SimConfig {
             max_steps: 50_000,
             ..Default::default()
